@@ -44,10 +44,10 @@ import sys
 
 # Metrics where bigger numbers are better; a drop beyond tolerance fails.
 HIGHER_BETTER = ("queries_per_s", "updates_per_s", "extractions_per_s",
-                 "ops_per_s", "achieved_qps", "speedup", "sharded_speedup",
-                 "hit_rate", "compression_ratio")
+                 "ops_per_s", "achieved_qps", "speedup", "hit_rate",
+                 "compression_ratio")
 # Metrics where smaller numbers are better; a rise beyond tolerance fails.
-LOWER_BETTER = ("p99_ms", "p999_ms", "query_p50_ms", "shard_imbalance")
+LOWER_BETTER = ("p99_ms", "p999_ms", "query_p50_ms")
 # A tail percentile over fewer samples than this is dominated by one or two
 # outliers; such metrics are excluded from the baseline comparison (but stay
 # available to --require / --limit, which encode absolute intent).
@@ -100,10 +100,9 @@ def is_lower_better(path):
 
 
 def is_speedup(path):
-    # Machine-relative ratios (including sharded_speedup) are gated by
-    # --require floors, not compared against the baseline's machine.
-    return any(path == key or path.endswith("." + key)
-               for key in ("speedup", "sharded_speedup"))
+    # Machine-relative ratios are gated by --require floors, not compared
+    # against the baseline's machine.
+    return path == "speedup" or path.endswith(".speedup")
 
 
 def write_step_summary(rows):

@@ -122,7 +122,6 @@ CacheKey CacheKey::ForTopL(const Query& query, const QueryOptions& options) {
   key.top_l = query.top_l;
   key.theta_bits = ThetaBits(query.theta);
   key.option_bits = PackOptions(options);
-  key.initial_threshold_bits = ThetaBits(options.initial_threshold);
   return key;
 }
 
@@ -135,7 +134,6 @@ CacheKey CacheKey::ForDTopL(const Query& query, const DTopLOptions& options) {
   key.top_l = query.top_l;
   key.theta_bits = ThetaBits(query.theta);
   key.option_bits = PackOptions(options.topl_options);
-  key.initial_threshold_bits = ThetaBits(options.topl_options.initial_threshold);
   key.n_factor = options.n_factor;
   key.algorithm = static_cast<std::uint8_t>(options.algorithm);
   key.max_optimal_subsets = options.max_optimal_subsets;
@@ -158,7 +156,6 @@ std::uint64_t CacheKey::Hash() const {
   hash = Fnv1a(hash, top_l);
   hash = Fnv1a(hash, theta_bits);
   hash = Fnv1a(hash, option_bits);
-  hash = Fnv1a(hash, initial_threshold_bits);
   hash = Fnv1a(hash, n_factor);
   hash = Fnv1a(hash, algorithm);
   hash = Fnv1a(hash, max_optimal_subsets);

@@ -48,12 +48,6 @@ struct CacheKey {
   std::uint64_t theta_bits = 0;
   /// QueryOptions toggles, packed LSB-first in declaration order.
   std::uint8_t option_bits = 0;
-  /// Bit pattern of QueryOptions::initial_threshold. A floor-seeded search
-  /// (sharded fan-out) answers a different question than an unseeded one —
-  /// it may omit communities below the seed — so the seed is a key
-  /// dimension. Bit-exact for the same reason as theta_bits; the −∞ default
-  /// gives unseeded queries one canonical pattern.
-  std::uint64_t initial_threshold_bits = 0;
 
   // DTopL-only dimensions; zero for TopL keys.
   std::uint32_t n_factor = 0;
@@ -75,7 +69,7 @@ struct CacheKeyHash {
   }
 };
 
-/// \brief Sharded, epoch-aware answer cache for TopL/DTopL results with
+/// \brief Lock-striped, epoch-aware answer cache for TopL/DTopL results with
 /// exact dirty-region invalidation and in-flight query deduplication.
 ///
 /// Values are immutable results behind shared_ptr (hits hand out the pointer;
@@ -107,7 +101,8 @@ struct CacheKeyHash {
 /// afterwards (a fresh leader replaces it; the old leader still wakes its
 /// followers, exactly like queries that had already started pre-update).
 ///
-/// Memory is bounded per shard by max_bytes / num_shards with LRU eviction;
+/// The table is split into `num_shards` lock stripes, each with its own
+/// mutex, LRU list and byte budget (max_bytes / num_shards);
 /// entry sizes are close approximations (vectors' payloads + struct shells).
 ///
 /// Thread safety: every method is safe to call from any thread. Lock order

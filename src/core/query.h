@@ -2,7 +2,6 @@
 #define TOPL_CORE_QUERY_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,16 +61,6 @@ struct QueryOptions {
   /// triangle substrate. Answers are byte-identical either way; this switch
   /// exists for the equivalence sweep and the bench_seed_extraction A/B.
   bool use_reference_extraction = false;
-  /// External score floor seeding the collector's σ_L threshold before any
-  /// community is collected: candidates whose upper bound is strictly below
-  /// it are pruned exactly as if L communities at this score were already
-  /// held. The caller asserts that `top_l` communities with score ≥ this
-  /// value exist elsewhere (a cross-shard merge holds them), so the pruned
-  /// candidates provably cannot enter the *merged* top-L — the returned
-  /// result then only lists communities that could. −∞ (the default)
-  /// disables seeding. Only effective together with use_score_pruning and a
-  /// query theta on the precompute grid, mirroring the internal threshold.
-  double initial_threshold = -std::numeric_limits<double>::infinity();
 };
 
 /// \brief Counters filled during query processing.

@@ -310,16 +310,6 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   std::vector<CommunityResult> progressive_snapshot;
   bool stopped = false;
 
-  // External floor seeding (cross-shard merges): the caller vouches for L
-  // communities at or above this score existing outside this search, so the
-  // threshold is valid before the local collector fills. All comparisons
-  // stay strict (<), preserving the canonical tie handling.
-  const bool seeded = options.initial_threshold > kNegInf;
-  const auto threshold_valid = [&] { return collector.Full() || seeded; };
-  const auto threshold = [&] {
-    return std::max(collector.threshold(), options.initial_threshold);
-  };
-
   while (!plan.Done() && !stopped) {
     // Checkpoint: deadline / cancellation, before planning the next wave.
     if (checkpoints && (control.cancel.cancelled() || deadline.Expired())) {
@@ -332,7 +322,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     // their parent's): the anytime gap if the wave is cut short mid-scoring.
     const double wave_bound = plan.FrontierBound();
     wave.clear();
-    plan.Gather(threshold_valid(), threshold(), wave_target, &wave, &stats);
+    plan.Gather(collector.Full(), collector.threshold(), wave_target, &wave,
+                &stats);
     if (wave.empty()) continue;  // everything pruned; heap may be done now
     ++stats.waves;
 
@@ -351,9 +342,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           break;
         }
         const VertexId v = wave[i];
-        if (live_pruning && threshold_valid() &&
+        if (live_pruning && collector.Full() &&
             pre_->ScoreBound(v, query.radius, static_cast<std::uint32_t>(z)) <
-                threshold()) {
+                collector.threshold()) {
           ++stats.pruned_score;
           continue;
         }

@@ -14,23 +14,6 @@
 
 namespace topl {
 
-namespace {
-
-/// Wraps a value-owned maintenance result into the shared-ownership install
-/// form. The tree's internal pointer into `*pre` survives: the pointee
-/// addresses are unchanged by the unique_ptr→shared_ptr / move conversions.
-SharedUpdate ShareUpdatedIndex(UpdatedIndex updated) {
-  SharedUpdate shared;
-  shared.graph = std::make_shared<const Graph>(std::move(updated.graph));
-  shared.pre = std::shared_ptr<const PrecomputedData>(std::move(updated.pre));
-  shared.tree = std::make_shared<const TreeIndex>(std::move(updated.tree));
-  shared.scope = updated.scope;
-  shared.dirty_center_ids = std::move(updated.dirty_center_ids);
-  return shared;
-}
-
-}  // namespace
-
 Engine::Engine(std::shared_ptr<const Graph> graph,
                std::shared_ptr<const PrecomputedData> pre,
                std::shared_ptr<const TreeIndex> tree,
@@ -103,36 +86,27 @@ Result<std::unique_ptr<Engine>> Engine::Create(Graph graph,
                                                std::unique_ptr<PrecomputedData> pre,
                                                TreeIndex tree,
                                                const EngineOptions& options) {
-  return Create(std::make_shared<const Graph>(std::move(graph)),
-                std::shared_ptr<const PrecomputedData>(std::move(pre)),
-                std::make_shared<const TreeIndex>(std::move(tree)), options);
-}
-
-Result<std::unique_ptr<Engine>> Engine::Create(
-    std::shared_ptr<const Graph> graph, std::shared_ptr<const PrecomputedData> pre,
-    std::shared_ptr<const TreeIndex> tree, const EngineOptions& options) {
-  if (graph == nullptr) {
-    return Status::InvalidArgument("Engine::Create needs a non-null Graph");
-  }
   if (pre == nullptr) {
     return Status::InvalidArgument("Engine::Create needs non-null PrecomputedData");
   }
-  if (pre->num_vertices() != graph->NumVertices()) {
+  if (pre->num_vertices() != graph.NumVertices()) {
     return Status::InvalidArgument(
         "PrecomputedData was built over a different graph (vertex count "
         "mismatch)");
   }
-  if (tree == nullptr || tree->NumNodes() == 0) {
+  if (tree.NumNodes() == 0) {
     return Status::InvalidArgument("Engine::Create needs a built TreeIndex");
   }
-  if (&tree->precomputed() != pre.get()) {
+  if (&tree.precomputed() != pre.get()) {
     return Status::InvalidArgument(
         "TreeIndex references different PrecomputedData than the one handed "
         "to Engine::Create");
   }
   // No make_unique: the constructor is private.
   return std::unique_ptr<Engine>(
-      new Engine(std::move(graph), std::move(pre), std::move(tree), options));
+      new Engine(std::make_shared<const Graph>(std::move(graph)),
+                 std::shared_ptr<const PrecomputedData>(std::move(pre)),
+                 std::make_shared<const TreeIndex>(std::move(tree)), options));
 }
 
 Result<std::unique_ptr<Engine>> Engine::FromGraph(Graph graph,
@@ -683,30 +657,26 @@ Result<RebuildScope> Engine::ApplyUpdate(const GraphDelta& delta) {
   if (journal_ != nullptr) {
     TOPL_RETURN_IF_ERROR(journal_->Append(delta));
   }
-  return InstallUpdateLocked(std::move(base), ShareUpdatedIndex(std::move(*updated)));
+  return InstallUpdateLocked(std::move(base), std::move(updated).value());
 }
 
 Result<RebuildScope> Engine::InstallUpdate(UpdatedIndex updated) {
-  return InstallUpdate(ShareUpdatedIndex(std::move(updated)));
-}
-
-Result<RebuildScope> Engine::InstallUpdate(SharedUpdate updated) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
   return InstallUpdateLocked(snapshot(), std::move(updated));
 }
 
 Result<RebuildScope> Engine::InstallUpdateLocked(
-    std::shared_ptr<const EngineSnapshot> base, SharedUpdate updated) {
-  if (updated.graph == nullptr || updated.pre == nullptr ||
-      updated.tree == nullptr) {
-    return Status::InvalidArgument(
-        "InstallUpdate needs a graph, precompute, and tree");
+    std::shared_ptr<const EngineSnapshot> base, UpdatedIndex updated) {
+  if (updated.pre == nullptr) {
+    return Status::InvalidArgument("InstallUpdate needs a precompute");
   }
 
   auto next = std::make_shared<EngineSnapshot>();
-  next->graph = std::move(updated.graph);
-  next->pre = std::move(updated.pre);
-  next->tree = std::move(updated.tree);
+  // The tree's internal pointer into `*pre` survives the moves: the pointee
+  // addresses are unchanged by the unique_ptr→shared_ptr conversion.
+  next->graph = std::make_shared<const Graph>(std::move(updated.graph));
+  next->pre = std::shared_ptr<const PrecomputedData>(std::move(updated.pre));
+  next->tree = std::make_shared<const TreeIndex>(std::move(updated.tree));
   next->epoch = base->epoch + 1;
   const std::shared_ptr<const EngineSnapshot> installed = next;
 

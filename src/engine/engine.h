@@ -45,11 +45,9 @@ struct RecoveryInfo {
 /// are installed. `tree` holds a raw pointer to `*pre`, so the two must be
 /// installed together.
 ///
-/// The pieces are individually shared so distinct snapshots can alias them:
-/// a sharded deployment keeps ONE graph and ONE precompute across all shard
-/// engines, and an update that leaves a shard's owned rows untouched
-/// installs a snapshot that shares the old pre/tree and only swaps in the
-/// new graph — O(1) instead of O(n) per shard.
+/// Each piece has its own shared_ptr, so a reader can pin one piece (say the
+/// graph) by itself, and consecutive snapshots may alias a piece an update
+/// left unchanged.
 struct EngineSnapshot {
   std::shared_ptr<const Graph> graph;
   std::shared_ptr<const PrecomputedData> pre;
@@ -57,22 +55,6 @@ struct EngineSnapshot {
   /// Monotone update counter: 0 for the open-time snapshot, +1 per applied
   /// delta.
   std::uint64_t epoch = 0;
-};
-
-/// Shared-ownership maintenance result for Engine::InstallUpdate: the same
-/// contract as UpdatedIndex, but the pieces may alias the engine's current
-/// snapshot (or another engine's). The sharded coordinator uses this to hand
-/// every shard one shared post-delta graph, and to re-install a shard's
-/// existing pre/tree untouched when the delta dirtied none of its owned
-/// centers.
-struct SharedUpdate {
-  std::shared_ptr<const Graph> graph;
-  std::shared_ptr<const PrecomputedData> pre;
-  std::shared_ptr<const TreeIndex> tree;
-  RebuildScope scope;
-  /// Sorted ids of every owned center whose serving state changed; drives
-  /// exact cache invalidation (empty = rebase-only).
-  std::vector<VertexId> dirty_center_ids;
 };
 
 /// \brief Thread-safe service facade over the TopL/DTopL online phase.
@@ -123,14 +105,6 @@ class Engine {
                                                 std::unique_ptr<PrecomputedData> pre,
                                                 TreeIndex tree,
                                                 const EngineOptions& options = {});
-
-  /// Shared-ownership Create: the engine serves `graph`/`pre`/`tree` without
-  /// taking sole ownership, so several engines can alias one graph and one
-  /// precompute (each with its own tree). Same validation as Create.
-  static Result<std::unique_ptr<Engine>> Create(
-      std::shared_ptr<const Graph> graph,
-      std::shared_ptr<const PrecomputedData> pre,
-      std::shared_ptr<const TreeIndex> tree, const EngineOptions& options = {});
 
   /// Runs the offline phase (Algorithm 2 + index build) on `graph` with
   /// options.precompute / options.tree, then serves it.
@@ -222,15 +196,9 @@ class Engine {
   /// this engine's *current* snapshot (the caller is the single writer, as
   /// with ApplyUpdate — concurrent calls serialize on the same lock), with
   /// `dirty_center_ids` covering every center whose serving state changed.
-  /// The sharded coordinator uses this to apply one shared maintenance
-  /// computation to each shard engine with per-shard epochs and caches.
+  /// Callers that need to time or journal the maintenance pass separately
+  /// use this with IndexUpdater::Apply.
   Result<RebuildScope> InstallUpdate(UpdatedIndex updated);
-
-  /// InstallUpdate over shared pieces: `updated.graph`/`pre`/`tree` may alias
-  /// the current snapshot's members. An untouched shard installs
-  /// {new graph, same pre, same tree} in O(1) — no copy, no recompute, and
-  /// (with `dirty_center_ids` empty) a rebase-only cache pass.
-  Result<RebuildScope> InstallUpdate(SharedUpdate updated);
 
   /// Cumulative service counters (snapshot; never blocks queries).
   EngineStats Stats() const;
@@ -403,7 +371,7 @@ class Engine {
   /// retirement, cache invalidation, counters. Caller holds update_mu_;
   /// `base` is the snapshot `updated` was computed from.
   Result<RebuildScope> InstallUpdateLocked(
-      std::shared_ptr<const EngineSnapshot> base, SharedUpdate updated);
+      std::shared_ptr<const EngineSnapshot> base, UpdatedIndex updated);
 
   /// Folds `context`'s stats into the retired accumulators and extracts it
   /// from contexts_, returning ownership. Caller holds contexts_mu_ and must

@@ -105,8 +105,8 @@ struct EngineOptions {
   /// opt in.
   bool enable_result_cache = false;
 
-  /// Byte budget of the result cache (LRU-evicted per shard); ignored unless
-  /// `enable_result_cache`.
+  /// Byte budget of the result cache (LRU-evicted per lock stripe); ignored
+  /// unless `enable_result_cache`.
   std::size_t cache_max_bytes = 64ull << 20;
 
   /// Write-ahead update journal (storage/update_journal.h). When non-empty,

@@ -108,25 +108,6 @@ class Graph {
   /// True when the graph is a zero-copy view of a mapped artifact.
   bool IsMapped() const { return backing_ != nullptr; }
 
-  /// Deep copy into owned heap memory (a mapped instance is materialized).
-  /// The copy is bit-identical to the source for every accessor, so indexes
-  /// built over either serve byte-identical answers. Explicit — the copy
-  /// constructor stays deleted so replication is always a visible decision
-  /// (share-nothing shards clone their replica through this).
-  Graph Clone() const {
-    Graph copy;
-    copy.owned_offsets_.assign(offsets_.begin(), offsets_.end());
-    copy.owned_arcs_.assign(arcs_.begin(), arcs_.end());
-    copy.owned_edge_endpoints_.assign(edge_endpoints_.begin(),
-                                      edge_endpoints_.end());
-    copy.owned_keyword_offsets_.assign(keyword_offsets_.begin(),
-                                       keyword_offsets_.end());
-    copy.owned_keywords_.assign(keywords_.begin(), keywords_.end());
-    copy.keyword_domain_bound_ = keyword_domain_bound_;
-    copy.BindOwned();
-    return copy;
-  }
-
  private:
   friend class GraphBuilder;
   friend class ArtifactWriter;

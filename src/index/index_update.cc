@@ -307,20 +307,12 @@ Result<UpdatedIndex> IndexUpdater::Apply(const Graph& base,
     for (VertexId v : dirty) precomputer.Recompute(v, out.pre.get());
   }
 
-  std::vector<char> dirty_vertex(base.NumVertices(), 0);
-  for (VertexId v : dirty) dirty_vertex[v] = 1;
-  out.scope.tree_nodes_patched =
-      PatchTree(tree, out.pre.get(), dirty_vertex, &out.tree);
-
-  return out;
-}
-
-std::size_t IndexUpdater::PatchTree(const TreeIndex& tree,
-                                    const PrecomputedData* pre,
-                                    const std::vector<char>& dirty_vertex,
-                                    TreeIndex* out) {
-  TreeIndex& t = *out;
-  t.pre_ = pre;
+  // Materialize the tree into owned memory (vertex order and node structure
+  // are kept), re-point it at the new precompute, and patch aggregates along
+  // every root-to-dirty-leaf path. The arena is built bottom-up (children
+  // always precede parents), so one ascending pass settles all dirty nodes.
+  TreeIndex& t = out.tree;
+  t.pre_ = out.pre.get();
   t.r_max_ = tree.r_max_;
   t.num_thetas_ = tree.num_thetas_;
   t.words_ = tree.words_;
@@ -337,7 +329,8 @@ std::size_t IndexUpdater::PatchTree(const TreeIndex& tree,
   t.owned_score_bounds_.assign(tree.score_bounds_.begin(),
                                tree.score_bounds_.end());
 
-  std::size_t patched = 0;
+  std::vector<char> dirty_vertex(base.NumVertices(), 0);
+  for (VertexId v : dirty) dirty_vertex[v] = 1;
   std::vector<char> dirty_node(t.owned_nodes_.size(), 0);
   for (std::uint32_t id = 0; id < t.owned_nodes_.size(); ++id) {
     const TreeIndex::Node& node = t.owned_nodes_[id];
@@ -352,11 +345,12 @@ std::size_t IndexUpdater::PatchTree(const TreeIndex& tree,
     }
     if (dirty_node[id]) {
       RecomputeNodeAggregates(&t, id);
-      ++patched;
+      ++out.scope.tree_nodes_patched;
     }
   }
   t.BindOwned();
-  return patched;
+
+  return out;
 }
 
 }  // namespace topl

@@ -103,18 +103,6 @@ class IndexUpdater {
                                             std::uint32_t r_max, double theta_min,
                                             std::size_t* influence_frontier = nullptr);
 
-  /// Materializes `tree` into `*out` (vertex order and node structure kept),
-  /// re-points it at `pre`, and recomputes aggregates along every
-  /// root-to-dirty-leaf path — the arena is bottom-up, so one ascending pass
-  /// settles all dirty nodes. `dirty_vertex` is an n-sized mask of the
-  /// vertices whose rows in `pre` differ from the rows `tree`'s aggregates
-  /// were folded over. Returns the number of nodes patched. Shared by Apply
-  /// and the sharded coordinator, whose per-shard trees cover only an owned
-  /// subset of the vertex set (the mask stays indexed by global vertex id).
-  static std::size_t PatchTree(const TreeIndex& tree, const PrecomputedData* pre,
-                               const std::vector<char>& dirty_vertex,
-                               TreeIndex* out);
-
  private:
   /// Zeroes and refills node `id`'s aggregates from its leaf vertices or its
   /// children — the same folds TreeIndex::Build performs.

@@ -50,25 +50,10 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
   // so that the best-first traversal reaches strong candidates early and the
   // per-node score bounds are tight.
   const std::size_t n = g.NumVertices();
-  if (options.candidates.empty()) {
-    sorted.resize(n);
-    std::iota(sorted.begin(), sorted.end(), 0);
-  } else {
-    // Strictly-ascending input keeps the stable sort's tie order identical
-    // to the full build's (ascending vertex id among equal keys).
-    for (std::size_t i = 0; i < options.candidates.size(); ++i) {
-      if (options.candidates[i] >= n ||
-          (i > 0 && options.candidates[i] <= options.candidates[i - 1])) {
-        return Status::InvalidArgument(
-            "TreeIndexOptions::candidates must be strictly ascending vertex "
-            "ids within the graph");
-      }
-    }
-    sorted = options.candidates;
-  }
-  const std::size_t n_cand = sorted.size();
-  std::vector<double> key(n, 0.0);
-  for (VertexId v : sorted) key[v] = pre.SortKey(v);
+  sorted.resize(n);
+  std::iota(sorted.begin(), sorted.end(), 0);
+  std::vector<double> key(n);
+  for (VertexId v = 0; v < n; ++v) key[v] = pre.SortKey(v);
   std::stable_sort(sorted.begin(), sorted.end(),
                    [&key](VertexId a, VertexId b) { return key[a] > key[b]; });
 
@@ -83,9 +68,9 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
     score_bounds.resize(want_nodes * index.r_max_ * index.num_thetas_, 0.0);
   };
 
-  for (std::uint32_t begin = 0; begin < n_cand; begin += options.leaf_capacity) {
+  for (std::uint32_t begin = 0; begin < n; begin += options.leaf_capacity) {
     const std::uint32_t end =
-        std::min<std::uint32_t>(static_cast<std::uint32_t>(n_cand),
+        std::min<std::uint32_t>(static_cast<std::uint32_t>(n),
                                 begin + options.leaf_capacity);
     const std::uint32_t id = static_cast<std::uint32_t>(nodes.size());
     Node leaf;

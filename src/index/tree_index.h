@@ -20,13 +20,6 @@ struct TreeIndexOptions {
   std::uint32_t fanout = 8;
   /// Vertices per leaf node.
   std::uint32_t leaf_capacity = 16;
-  /// Candidate centers to index; empty = every vertex of the graph. When
-  /// set, the ids must be strictly ascending and in range — the tree then
-  /// only plans over (and its aggregates only cover) this subset, which is
-  /// how a shard indexes exactly its owned centers while its precompute and
-  /// graph replica stay full-width. Queries through such a tree return the
-  /// candidate-restricted answer.
-  std::vector<VertexId> candidates;
 };
 
 /// \brief The hierarchical tree index I over the pre-computed data (§V-B).

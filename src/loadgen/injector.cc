@@ -1,6 +1,5 @@
 #include "loadgen/injector.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -60,15 +59,7 @@ void RunWithRetry(Call&& call, Rng* rng, std::uint64_t* shed,
 
 LoadInjector::LoadInjector(Engine* engine, const WorkloadGenerator& generator,
                            const InjectorOptions& options)
-    : owned_target_(std::make_unique<EngineTarget>(engine)),
-      target_(owned_target_.get()),
-      generator_(generator),
-      options_(options) {}
-
-LoadInjector::LoadInjector(ServingTarget* target,
-                           const WorkloadGenerator& generator,
-                           const InjectorOptions& options)
-    : target_(target), generator_(generator), options_(options) {}
+    : engine_(engine), generator_(generator), options_(options) {}
 
 Result<LoadReport> LoadInjector::Run() {
   if (options_.num_workers == 0) {
@@ -91,8 +82,7 @@ Result<LoadReport> LoadInjector::Run() {
   // Cache counters are cumulative over the engine's lifetime; diffing
   // before/after isolates this run's activity (warmup runs use a separate
   // injector, so their fills don't masquerade as measured hits).
-  const EngineStats stats_before = target_->Stats();
-  const std::vector<std::uint64_t> shard_ops_before = target_->ShardOps();
+  const EngineStats stats_before = engine_->Stats();
 
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
@@ -143,19 +133,19 @@ Result<LoadReport> LoadInjector::Run() {
       };
       switch (op.kind) {
         case OpKind::kTopL:
-          RunWithRetry([&] { return target_->Search(op.query); }, &backoff_rng,
+          RunWithRetry([&] { return engine_->Search(op.query); }, &backoff_rng,
                        &shed, &retried, outcome);
           break;
         case OpKind::kDTopL:
           RunWithRetry(
-              [&] { return target_->SearchDiversified(op.query, DTopLOptions()); },
+              [&] { return engine_->SearchDiversified(op.query, DTopLOptions()); },
               &backoff_rng, &shed, &retried, outcome);
           break;
         case OpKind::kProgressive:
           // A deadline-bearing progressive query is degraded (not shed) by an
           // overloaded engine, so retries only fire in the no-deadline case.
           RunWithRetry(
-              [&] { return target_->SearchProgressive(op.query, progressive); },
+              [&] { return engine_->SearchProgressive(op.query, progressive); },
               &backoff_rng, &shed, &retried, outcome);
           break;
         case OpKind::kUpdate: {
@@ -163,12 +153,12 @@ Result<LoadReport> LoadInjector::Run() {
           // the admission gate covers queries, not maintenance.
           std::lock_guard<std::mutex> lock(update_mu);
           const std::shared_ptr<const EngineSnapshot> snap =
-              target_->snapshot();
+              engine_->snapshot();
           Rng rng(op.delta_seed);
           const GraphDelta delta =
               MakeRandomDelta(*snap->graph, rng, generator_.spec().delta);
           if (delta.empty()) break;  // no valid target found; count as ok
-          Result<RebuildScope> r = target_->ApplyUpdate(delta);
+          Result<RebuildScope> r = engine_->ApplyUpdate(delta);
           ok = r.ok();
           break;
         }
@@ -191,7 +181,7 @@ Result<LoadReport> LoadInjector::Run() {
   LoadReport report =
       BuildReport(recorders, generator_.spec().name, open_loop,
                   options_.target_qps, wall);
-  const EngineStats stats = target_->Stats();
+  const EngineStats stats = engine_->Stats();
   report.updates_applied = stats.updates_applied;
   report.snapshot_epoch = stats.snapshot_epoch;
   report.cache_hits = stats.cache_hits - stats_before.cache_hits;
@@ -205,27 +195,6 @@ Result<LoadReport> LoadInjector::Run() {
         static_cast<double>(report.cache_hits) / static_cast<double>(lookups);
   }
 
-  report.num_shards = target_->NumShards();
-  const std::vector<std::uint64_t> shard_ops_after = target_->ShardOps();
-  if (shard_ops_after.size() == shard_ops_before.size()) {
-    report.shard_ops.resize(shard_ops_after.size());
-    for (std::size_t s = 0; s < shard_ops_after.size(); ++s) {
-      report.shard_ops[s] = shard_ops_after[s] - shard_ops_before[s];
-    }
-  }
-  if (report.shard_ops.size() >= 2) {
-    std::uint64_t total_routed = 0;
-    std::uint64_t max_routed = 0;
-    for (std::uint64_t ops : report.shard_ops) {
-      total_routed += ops;
-      max_routed = std::max(max_routed, ops);
-    }
-    if (total_routed > 0) {
-      const double mean = static_cast<double>(total_routed) /
-                          static_cast<double>(report.shard_ops.size());
-      report.shard_imbalance = static_cast<double>(max_routed) / mean;
-    }
-  }
   return report;
 }
 

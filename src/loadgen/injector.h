@@ -2,12 +2,10 @@
 #define TOPL_LOADGEN_INJECTOR_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/result.h"
 #include "engine/engine.h"
 #include "loadgen/report.h"
-#include "loadgen/serving_target.h"
 #include "loadgen/workload.h"
 
 namespace topl {
@@ -51,7 +49,7 @@ struct InjectorOptions {
   bool progressive_parallel = false;
 };
 
-/// \brief Drives a live serving target with a WorkloadGenerator stream.
+/// \brief Drives a live Engine with a WorkloadGenerator stream.
 ///
 /// Workers claim operation indices from one shared atomic counter, so the
 /// executed stream is a prefix of the generator's deterministic sequence
@@ -60,15 +58,10 @@ struct InjectorOptions {
 /// snapshot -> MakeRandomDelta -> ApplyUpdate, so each delta is drawn
 /// against the graph it is applied to) but never block queries — that is
 /// the engine's MVCC contract, and this harness is its sustained test.
-/// The target can be a single Engine or a ShardedEngine (ServingTarget
-/// adapters); sharded targets additionally get per-shard routed-op counts
-/// and the load-imbalance ratio in the report.
 class LoadInjector {
  public:
+  /// `engine` must outlive the injector; not owned.
   LoadInjector(Engine* engine, const WorkloadGenerator& generator,
-               const InjectorOptions& options);
-  /// `target` must outlive the injector; not owned.
-  LoadInjector(ServingTarget* target, const WorkloadGenerator& generator,
                const InjectorOptions& options);
 
   /// Runs the load and returns the merged report. Individual operation
@@ -77,8 +70,7 @@ class LoadInjector {
   Result<LoadReport> Run();
 
  private:
-  std::unique_ptr<EngineTarget> owned_target_;  // Engine* convenience ctor
-  ServingTarget* target_;
+  Engine* engine_;
   const WorkloadGenerator& generator_;
   InjectorOptions options_;
 };

@@ -132,14 +132,6 @@ std::string LoadReport::ToString() const {
             " misses, %" PRIu64 " coalesced)\n",
             100.0 * hit_rate, cache_hits, cache_misses, cache_coalesced);
   }
-  if (num_shards > 1) {
-    AppendF(&out, "shards: %u, imbalance %.3f (max/mean), routed ops [",
-            num_shards, shard_imbalance);
-    for (std::size_t s = 0; s < shard_ops.size(); ++s) {
-      AppendF(&out, "%s%" PRIu64, s == 0 ? "" : ", ", shard_ops[s]);
-    }
-    out += "]\n";
-  }
   AppendF(&out, "%-12s %9s %9s %9s %9s %9s %9s %9s\n", "kind", "count",
           "p50(ms)", "p99(ms)", "p999(ms)", "max(ms)", "mean(ms)", "svc(ms)");
   for (std::size_t k = 0; k < kNumOpKinds; ++k) {
@@ -178,13 +170,6 @@ std::string LoadReport::ToJson() const {
   AppendF(&out, "  \"cache_misses\": %" PRIu64 ",\n", cache_misses);
   AppendF(&out, "  \"cache_coalesced\": %" PRIu64 ",\n", cache_coalesced);
   AppendF(&out, "  \"hit_rate\": %.4f,\n", hit_rate);
-  AppendF(&out, "  \"num_shards\": %u,\n", num_shards);
-  out += "  \"shard_ops\": [";
-  for (std::size_t s = 0; s < shard_ops.size(); ++s) {
-    AppendF(&out, "%s%" PRIu64, s == 0 ? "" : ", ", shard_ops[s]);
-  }
-  out += "],\n";
-  AppendF(&out, "  \"shard_imbalance\": %.4f,\n", shard_imbalance);
   for (std::size_t k = 0; k < kNumOpKinds; ++k) {
     AppendKindJson(&out, OpKindName(static_cast<OpKind>(k)), per_kind[k], ",");
   }

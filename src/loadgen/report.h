@@ -68,15 +68,6 @@ struct LoadReport {
   /// hits / (hits + misses + coalesced); 0 when the cache saw no lookups.
   double hit_rate = 0.0;
 
-  /// Sharded targets: shard count, operations *routed* to each shard during
-  /// the run (query fan-out only — a query touching three shards counts
-  /// three; updates touch every shard and are excluded), and the routing
-  /// balance as max/mean of shard_ops. 1.0 = perfectly even; 0 when the
-  /// target has fewer than two shards or routed nothing.
-  std::uint32_t num_shards = 1;
-  std::vector<std::uint64_t> shard_ops;
-  double shard_imbalance = 0.0;
-
   std::array<OpKindSummary, kNumOpKinds> per_kind{};
   /// All kinds folded into one distribution (what the headline SLOs gate).
   OpKindSummary overall;

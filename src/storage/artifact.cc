@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,7 +20,6 @@ namespace {
 constexpr char kMagic[8] = {'T', 'O', 'P', 'L', 'I', 'D', 'X', '2'};
 constexpr std::uint32_t kVersionRaw = 1;         // 17 sections, all raw
 constexpr std::uint32_t kVersionEncoded = 2;     // + g.extids, per-section codec
-constexpr std::uint32_t kVersionSharded = 3;     // + shard.map manifest
 constexpr std::uint64_t kSectionAlignment = 64;
 
 // ---------------------------------------------------------------------------
@@ -66,7 +64,7 @@ static_assert(sizeof(MetaBlock) == 64, "TOPLIDX2 meta block is 64 bytes");
 
 // Canonical section order; the reader requires exactly this table. Version-1
 // files carry the first kNumSectionsV1 sections; version-2 files additionally
-// carry g.extids; version-3 files additionally carry shard.map.
+// carry g.extids.
 enum SectionId : std::size_t {
   kMeta = 0,
   kGraphOffsets,
@@ -88,21 +86,16 @@ enum SectionId : std::size_t {
   kNumSectionsV1,
   kGraphExtIds = kNumSectionsV1,
   kNumSectionsV2,
-  kShardMap = kNumSectionsV2,
-  kNumSectionsV3,
 };
 
-constexpr const char* kSectionNames[kNumSectionsV3] = {
+constexpr const char* kSectionNames[kNumSectionsV2] = {
     "meta",         "g.offsets",    "g.arcs",     "g.endpoints",
     "g.kw_offsets", "g.keywords",   "p.thetas",   "p.signatures",
     "p.supports",   "p.truss",      "p.scores",   "t.nodes",
     "t.sorted",     "t.signatures", "t.supports", "t.truss",
-    "t.scores",     "g.extids",     "shard.map"};
+    "t.scores",     "g.extids"};
 
-// Leading fixed words of the shard.map payload before the owned-id list.
-constexpr std::size_t kShardMapHeaderWords = 4;
-
-constexpr std::uint32_t kSectionElemSizes[kNumSectionsV3] = {
+constexpr std::uint32_t kSectionElemSizes[kNumSectionsV2] = {
     sizeof(MetaBlock),
     sizeof(std::uint64_t),           // g.offsets
     sizeof(Graph::Arc),              // g.arcs
@@ -121,13 +114,12 @@ constexpr std::uint32_t kSectionElemSizes[kNumSectionsV3] = {
     sizeof(std::uint32_t),           // t.truss
     sizeof(double),                  // t.scores
     sizeof(VertexId),                // g.extids
-    sizeof(std::uint32_t),           // shard.map
 };
 
 // Sections that have a delta+varint codec. Doubles, signatures and the
 // permutation stay raw: score/theta payloads are incompressible entropy and
 // the signature words are dense bitsets.
-constexpr bool kSectionEncodable[kNumSectionsV3] = {
+constexpr bool kSectionEncodable[kNumSectionsV2] = {
     false,  // meta
     true,   // g.offsets     (monotone u64 deltas)
     true,   // g.arcs        (SoA: to/edge zigzag deltas + raw probs)
@@ -146,7 +138,6 @@ constexpr bool kSectionEncodable[kNumSectionsV3] = {
     true,   // t.truss
     false,  // t.scores
     false,  // g.extids
-    false,  // shard.map
 };
 
 // ---------------------------------------------------------------------------
@@ -342,7 +333,7 @@ std::uint64_t ChecksumBytes(const void* data, std::uint64_t size) {
 
 struct ParsedArtifact {
   DiskHeader header;
-  DiskSection table[kNumSectionsV3];  // trailing entries zeroed for older versions
+  DiskSection table[kNumSectionsV2];  // trailing entries zeroed for version 1
   MetaBlock meta;
   bool checksums_ok = true;
 
@@ -372,16 +363,12 @@ Result<ParsedArtifact> ParseTable(const MappedFile& f, bool verify_checksums) {
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(path, "bad magic (not a TOPLIDX2 artifact)");
   }
-  if (header.version != kVersionRaw && header.version != kVersionEncoded &&
-      header.version != kVersionSharded) {
+  if (header.version != kVersionRaw && header.version != kVersionEncoded) {
     return Corrupt(path, "unsupported artifact version " +
                              std::to_string(header.version));
   }
-  const std::size_t num_sections = header.version == kVersionRaw
-                                       ? kNumSectionsV1
-                                       : header.version == kVersionEncoded
-                                             ? kNumSectionsV2
-                                             : kNumSectionsV3;
+  const std::size_t num_sections =
+      header.version == kVersionRaw ? kNumSectionsV1 : kNumSectionsV2;
   if (header.section_count != num_sections) {
     return Corrupt(path, "unexpected section count " +
                              std::to_string(header.section_count));
@@ -484,7 +471,6 @@ struct LoadedSections {
   std::span<const std::uint32_t> p_supports, p_truss, t_supports, t_truss;
   std::span<const TreeIndex::Node> nodes;
   std::span<const VertexId> sorted, extids;
-  std::span<const std::uint32_t> shard_map;
 };
 
 Result<LoadedSections> LoadSections(const MappedFile& f,
@@ -605,10 +591,6 @@ Result<LoadedSections> LoadSections(const MappedFile& f,
   if (parsed.has(kGraphExtIds)) {
     s.extids = SectionView<VertexId>(f, parsed, kGraphExtIds);
   }
-  // Shard manifest (version 3, always raw).
-  if (parsed.has(kShardMap)) {
-    s.shard_map = SectionView<std::uint32_t>(f, parsed, kShardMap);
-  }
   return s;
 }
 
@@ -637,29 +619,6 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
     return Corrupt(path, "inconsistent tree shape in meta block");
   }
 
-  // A version-3 shard manifest narrows the tree's vertex universe: graph and
-  // precompute sections still describe the full replica, but t.sorted holds
-  // only the shard's owned candidate subset.
-  if (parsed.has(kShardMap) && s.shard_map.size() <= kShardMapHeaderWords) {
-    return Corrupt(path, "shard manifest too small");
-  }
-  std::uint64_t sorted_len = n;
-  if (!s.shard_map.empty()) {
-    const std::uint32_t num_shards = s.shard_map[0];
-    const std::uint32_t shard_index = s.shard_map[1];
-    if (num_shards == 0 || shard_index >= num_shards) {
-      return Corrupt(path, "shard manifest indices out of range");
-    }
-    const std::span<const std::uint32_t> owned =
-        s.shard_map.subspan(kShardMapHeaderWords);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      if (owned[i] >= n || (i > 0 && owned[i] <= owned[i - 1])) {
-        return Corrupt(path, "shard owned set not strictly ascending in [0, n)");
-      }
-    }
-    sorted_len = owned.size();
-  }
-
   const bool sizes_ok =
       s.offsets.size() == n + 1 &&
       s.arcs.size() == 2 * m &&
@@ -672,7 +631,7 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
       s.p_truss.size() == n &&
       s.p_scores.size() == n * r_max * z &&
       s.nodes.size() == nodes &&
-      s.sorted.size() == sorted_len &&
+      s.sorted.size() == n &&
       s.t_signatures.size() == nodes * r_max * words &&
       s.t_supports.size() == nodes * r_max &&
       s.t_truss.size() == nodes &&
@@ -768,32 +727,12 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
                               node.num_children > nodes - node.first_child)) {
       return Corrupt(path, "node child range out of bounds");
     }
-    if (node.is_leaf == 1 &&
-        (node.begin > node.end || node.end > s.sorted.size())) {
+    if (node.is_leaf == 1 && (node.begin > node.end || node.end > n)) {
       return Corrupt(path, "leaf vertex range out of bounds");
     }
   }
   for (VertexId v : s.sorted) {
     if (v >= n) return Corrupt(path, "sorted vertex out of range");
-  }
-  // The pruning contract of a sharded artifact is that the tree covers the
-  // owned set exactly — a missing owned vertex would silently drop answers,
-  // an extra one would double-count it across shards.
-  if (!s.shard_map.empty()) {
-    const std::span<const std::uint32_t> owned =
-        s.shard_map.subspan(kShardMapHeaderWords);
-    std::vector<bool> seen(owned.size(), false);
-    for (VertexId v : s.sorted) {
-      const auto it = std::lower_bound(owned.begin(), owned.end(), v);
-      if (it == owned.end() || *it != v) {
-        return Corrupt(path, "sorted vertex outside the shard's owned set");
-      }
-      const std::size_t slot = static_cast<std::size_t>(it - owned.begin());
-      if (seen[slot]) {
-        return Corrupt(path, "sorted vertex repeated within the shard");
-      }
-      seen[slot] = true;
-    }
   }
   return Status::OK();
 }
@@ -831,34 +770,10 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
       seen[ext] = true;
     }
   }
-  if (!options.shard_manifest.empty()) {
-    if (options.shard_manifest.size() <= kShardMapHeaderWords) {
-      return Status::InvalidArgument("shard manifest too small");
-    }
-    const std::span<const std::uint32_t> owned =
-        options.shard_manifest.subspan(kShardMapHeaderWords);
-    if (owned.size() != tree.sorted_vertices_.size()) {
-      return Status::InvalidArgument(
-          "shard manifest owned count disagrees with the tree's candidate "
-          "subset");
-    }
-    if (options.shard_manifest[0] == 0 ||
-        options.shard_manifest[1] >= options.shard_manifest[0]) {
-      return Status::InvalidArgument("shard manifest indices out of range");
-    }
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      if (owned[i] >= n || (i > 0 && owned[i] <= owned[i - 1])) {
-        return Status::InvalidArgument(
-            "shard owned set not strictly ascending in [0, n)");
-      }
-    }
-  }
-  // Lowest version whose feature set covers the request, so default-written
+  // Version 1 unless a version-2 feature is in play, so default-written
   // artifacts remain byte-compatible with older readers.
   const bool v2 = options.compress || !options.external_ids.empty();
-  const bool v3 = !options.shard_manifest.empty();
-  const std::size_t num_sections =
-      v3 ? kNumSectionsV3 : v2 ? kNumSectionsV2 : kNumSectionsV1;
+  const std::size_t num_sections = v2 ? kNumSectionsV2 : kNumSectionsV1;
 
   MetaBlock meta{};
   meta.num_vertices = g.NumVertices();
@@ -883,7 +798,7 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
     return Payload{span.data(), span.size_bytes(), kSectionElemSizes[id],
                    static_cast<std::uint32_t>(SectionEncoding::kRaw)};
   };
-  Payload payloads[kNumSectionsV3] = {
+  Payload payloads[kNumSectionsV2] = {
       {&meta, sizeof(meta), sizeof(meta),
        static_cast<std::uint32_t>(SectionEncoding::kRaw)},
       bytes_of(g.offsets_, kGraphOffsets),
@@ -903,11 +818,10 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
       bytes_of(tree.center_truss_bounds_, kTreeTruss),
       bytes_of(tree.score_bounds_, kTreeScores),
       bytes_of(options.external_ids, kGraphExtIds),
-      bytes_of(options.shard_manifest, kShardMap),
   };
 
   // Encoded payloads live in these buffers until the file is flushed.
-  std::vector<std::uint8_t> encoded[kNumSectionsV3];
+  std::vector<std::uint8_t> encoded[kNumSectionsV2];
   if (options.compress) {
     encoded[kGraphOffsets] = EncodeDeltaU64(g.offsets_);
     encoded[kGraphArcs] = EncodeArcs(g.arcs_);
@@ -927,7 +841,7 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
     }
   }
 
-  DiskSection table[kNumSectionsV3] = {};
+  DiskSection table[kNumSectionsV2] = {};
   const std::uint64_t table_bytes = num_sections * sizeof(DiskSection);
   std::uint64_t cursor = sizeof(DiskHeader) + table_bytes;
   for (std::size_t i = 0; i < num_sections; ++i) {
@@ -943,7 +857,7 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
 
   DiskHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = v3 ? kVersionSharded : v2 ? kVersionEncoded : kVersionRaw;
+  header.version = v2 ? kVersionEncoded : kVersionRaw;
   header.section_count = static_cast<std::uint32_t>(num_sections);
   header.file_size = cursor;
   header.table_checksum = XXH64(table, table_bytes);
@@ -1107,7 +1021,6 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   tree.backing_ = mapped;
 
   out.external_ids.assign(s.extids.begin(), s.extids.end());
-  out.shard_manifest.assign(s.shard_map.begin(), s.shard_map.end());
   for (std::size_t i = 0; i < parsed.num_sections(); ++i) {
     if (parsed.table[i].encoding != 0) out.compressed = true;
   }
@@ -1137,14 +1050,6 @@ Result<ArtifactInfo> ArtifactReader::Inspect(const std::string& path) {
   info.tree_num_nodes = parsed.meta.tree_num_nodes;
   info.has_external_ids =
       parsed.has(kGraphExtIds) && parsed.table[kGraphExtIds].size > 0;
-  if (parsed.has(kShardMap) &&
-      parsed.table[kShardMap].size >= 2 * sizeof(std::uint32_t)) {
-    info.has_shard_map = true;
-    const std::uint32_t* words = reinterpret_cast<const std::uint32_t*>(
-        f.data() + parsed.table[kShardMap].offset);
-    info.num_shards = words[0];
-    info.shard_index = words[1];
-  }
   info.checksums_ok = parsed.checksums_ok;
   info.sections.reserve(parsed.num_sections());
   for (std::size_t i = 0; i < parsed.num_sections(); ++i) {

@@ -44,20 +44,11 @@ namespace topl {
 ///     signatures) stay zero-copy views of the mapping. A graph whose
 ///     neighbor ids cluster (after reordering) compresses its arc array to
 ///     a fraction of the raw 12 B/arc.
-///   version 3 — the version-2 sections plus a "shard.map" manifest, written
-///     for the members of a sharded index family (shard/sharded_engine.h).
-///     The graph and precompute sections still describe the full replica;
-///     the tree sections cover only the shard's owned candidate subset, and
-///     the manifest records [num_shards, shard_index, partition digest,
-///     owned vertex ids…] so the reader can verify that t.sorted is exactly
-///     a permutation of the owned set and that sibling artifacts belong to
-///     the same partition.
 ///
 /// ArtifactWriter emits version 1 unless compression or an external-id
-/// permutation is requested (version 2) or a shard manifest is given
-/// (version 3), so default-written files are byte-compatible with older
-/// readers. `topl_cli index migrate` upgrades either the legacy TOPLIDX1
-/// format (index/index_io.h) or a version-1 artifact in place.
+/// permutation is requested, so default-written files are byte-compatible
+/// with older readers. `topl_cli index migrate` upgrades either the legacy
+/// TOPLIDX1 format (index/index_io.h) or a version-1 artifact in place.
 
 /// Per-section payload encodings (the DiskSection `encoding` field).
 enum class SectionEncoding : std::uint32_t {
@@ -88,10 +79,6 @@ struct ArtifactInfo {
   std::uint32_t tree_height = 0;
   std::uint64_t tree_num_nodes = 0;
   bool has_external_ids = false;
-  /// Version-3 shard manifest, when present (0 / false otherwise).
-  bool has_shard_map = false;
-  std::uint32_t num_shards = 0;
-  std::uint32_t shard_index = 0;
   bool checksums_ok = false;
   std::vector<ArtifactSectionInfo> sections;
 };
@@ -105,11 +92,6 @@ struct ArtifactWriteOptions {
   /// graph/reorder.h. Must be empty (identity) or a permutation of [0, n).
   /// Non-empty forces artifact version 2.
   std::span<const VertexId> external_ids = {};
-  /// Shard manifest words, [num_shards, shard_index, digest_lo, digest_hi,
-  /// owned vertex ids… (strictly ascending)] — see shard/shard_partition.h
-  /// for the encoding helpers. Non-empty forces artifact version 3 and
-  /// requires `tree` to have been built over exactly the owned subset.
-  std::span<const std::uint32_t> shard_manifest = {};
 };
 
 /// Writes a TOPLIDX2 artifact from an in-memory graph + offline phase.
@@ -148,9 +130,6 @@ struct MappedIndex {
   /// True when the artifact stored encoded sections (version 2 compressed);
   /// preserved so rewrites (`topl_cli update`) keep the representation.
   bool compressed = false;
-  /// Version-3 shard manifest words ([num_shards, shard_index, digest_lo,
-  /// digest_hi, owned…]); empty for unsharded artifacts.
-  std::vector<std::uint32_t> shard_manifest;
   /// The mapping all raw-section views point into. Every section was
   /// bounds-checked against this mapping's size at open time;
   /// `backing->Revalidate()` detects out-of-band truncation after open (the

@@ -62,11 +62,7 @@
 #include "loadgen/injector.h"
 #include "loadgen/recorder.h"
 #include "loadgen/report.h"
-#include "loadgen/serving_target.h"
 #include "loadgen/workload.h"
-#include "shard/shard_partition.h"
-#include "shard/shard_update.h"
-#include "shard/sharded_engine.h"
 #include "storage/artifact.h"
 #include "storage/atomic_file.h"
 #include "storage/checksum.h"

@@ -507,6 +507,36 @@ TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {
   }
 }
 
+TEST_F(ArtifactTest, UnknownVersionThreeIsRejectedNotReadAsVersionTwo) {
+  const BuiltIndex built = BuildIndexFor(*graph_);
+  const std::string path = Path("v3.idx");
+  ArtifactWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(
+      ArtifactWriter::Write(*graph_, built.pre(), built.tree, path, compress)
+          .ok());
+  Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->version, 2u);
+
+  // Header layout: 8-byte magic, then the u32 version. The header's only
+  // checksum (table_checksum) covers the section table, which is untouched,
+  // so after the bump every checksum still matches and the version field
+  // alone decides whether the reader accepts the file.
+  std::vector<char> mutated = ReadAll(path);
+  const std::uint32_t version = 3;
+  std::memcpy(mutated.data() + 8, &version, sizeof(version));
+  WriteAll(path, mutated);
+
+  Result<MappedIndex> opened = ArtifactReader::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("unsupported artifact version 3"),
+            std::string::npos)
+      << opened.status().ToString();
+  EXPECT_TRUE(ArtifactReader::Inspect(path).status().IsCorruption());
+}
+
 TEST_F(ArtifactTest, CompressedSectionCorruptionIsRejected) {
   const BuiltIndex built = BuildIndexFor(*graph_);
   const std::string path = Path("packed.idx");

@@ -23,7 +23,6 @@
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
 #include "gtest/gtest.h"
-#include "shard/sharded_engine.h"
 #include "storage/artifact.h"
 #include "storage/update_journal.h"
 #include "tests/test_util.h"
@@ -417,47 +416,6 @@ TEST_F(EngineRobustnessTest, MismatchedJournalRejectedAtOpen) {
   Result<std::unique_ptr<Engine>> opened = Engine::Open(options);
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
-}
-
-TEST_F(EngineRobustnessTest, ShardedRecoverReplaysCoordinatorJournal) {
-  const Graph graph = MakeTestGraph(120, 5);
-  ShardedEngineOptions options;
-  options.num_shards = 3;
-  options.engine.num_threads = 1;
-  const std::string prefix = Path("fleet.idx");
-  ASSERT_TRUE(ShardedEngine::BuildArtifacts(graph, options, prefix,
-                                            /*compress=*/false)
-                  .ok());
-
-  options.journal_path = Path("fleet.jrn");
-  Result<std::unique_ptr<ShardedEngine>> live =
-      ShardedEngine::Open(prefix, options);
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
-  const std::vector<GraphDelta> deltas = MakeDeltaStream(graph, 2);
-  ASSERT_EQ(deltas.size(), 2u);
-  for (const GraphDelta& delta : deltas) {
-    Result<RebuildScope> applied = (*live)->ApplyUpdate(delta);
-    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  }
-
-  RecoveryInfo info;
-  Result<std::unique_ptr<ShardedEngine>> recovered =
-      ShardedEngine::Recover(prefix, options, &info);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(info.records_replayed, deltas.size());
-
-  for (const Query& q : QueryBattery()) {
-    Result<TopLResult> a = (*recovered)->Search(q);
-    Result<TopLResult> e = (*live)->Search(q);
-    ASSERT_EQ(a.ok(), e.ok()) << a.status().ToString();
-    if (!a.ok()) continue;
-    ASSERT_EQ(a->communities.size(), e->communities.size());
-    for (std::size_t i = 0; i < a->communities.size(); ++i) {
-      EXPECT_EQ(a->communities[i].community.center,
-                e->communities[i].community.center);
-      EXPECT_EQ(a->communities[i].score(), e->communities[i].score());
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@
 //   topl_cli convert  --in=com-dblp.ungraph.txt --out=graph.bin
 //   topl_cli index build   --graph=graph.bin --out=index.idx
 //                          [--rmax=3 --threads=0 --format=v2|legacy
-//                           --reorder=0 --compress=0 --shards=0]
+//                           --reorder=0 --compress=0]
 //   topl_cli index inspect --artifact=index.idx
 //   topl_cli index migrate --in=old.bin --graph=graph.bin --out=index.idx
 //                          [--compress=0]
 //   topl_cli update   --index=index.idx --delta=delta.txt --out=patched.idx
 //                     [--journal=wal.jrn]
 //   topl_cli recover  --index=index.idx --journal=wal.jrn
-//                     [--out=patched.idx --shards=N --truncate-journal]
+//                     [--out=patched.idx --truncate-journal]
 //   topl_cli stats    --graph=graph.bin
 //
 // `index build` writes the mmap-able TOPLIDX2 artifact (graph + precompute +
@@ -48,14 +48,12 @@
 // fails with a typed error instead of silently double-applying.)
 //
 // `recover` replays a write-ahead journal (EngineOptions::journal_path /
-// `update --journal`) on top of an artifact — or, with --shards=N, a
-// coordinator journal on top of the `<index>.s0..s{N-1}` artifact family —
-// healing any torn trailing record, and prints the recovery report (records
-// replayed, torn bytes discarded). The recovered engine is byte-identical to
-// one that applied the same acknowledged deltas live. --out additionally
-// writes the recovered state as a fresh artifact (unsharded only), and
-// --truncate-journal (requires --out) empties the journal once that artifact
-// is durable.
+// `update --journal`) on top of an artifact, healing any torn trailing
+// record, and prints the recovery report (records replayed, torn bytes
+// discarded). The recovered engine is byte-identical to one that applied the
+// same acknowledged deltas live. --out additionally writes the recovered
+// state as a fresh artifact, and --truncate-journal (requires --out) empties
+// the journal once that artifact is durable.
 //
 // Online phase (all served through topl::Engine::Open; a missing index file
 // is built in-process, and persisted back when --save-index=1):
@@ -72,17 +70,6 @@
 //                      --warmup-seconds=0.5 --seed=42 --popularity=zipf
 //                      --zipf=0 --signatures=0 --deadline-ms=0
 //                      --slo-qps=0 --slo-p99-ms=0 --slo-p999-ms=0 --json=]
-//
-// All online subcommands also accept --shards=N to serve through a
-// share-nothing ShardedEngine: N independent engines over the
-// `<index>.s0..s{N-1}` artifact family written by `index build --shards=N`
-// (built in-process from --graph when the family is missing), with queries
-// routed by shard-root admission and merged in the canonical order — answers
-// are byte-identical to unsharded serving. `--shards` composes with --cache
-// (per-shard result caches with shard-local invalidation); it rejects
-// --reorder, since sharded artifacts keep identity external ids. query/dtopl
-// print the per-shard routed-op fan-out, and serve-bench's report/JSON gains
-// per-shard routed-op counts plus the max/mean load-imbalance ratio.
 //
 // All online subcommands accept --cache=1 [--cache-max-mb=64] to serve
 // repeated queries from the snapshot-epoch result cache (exact dirty-region
@@ -117,9 +104,14 @@
 // fanned out across the engine's worker pool, and cumulative EngineStats
 // (throughput, p50/p99 latency, prune counters) are printed at the end.
 //
-// All subcommands exit non-zero with a Status message on failure.
+// Every flag must be one the CLI knows, and numeric flags must parse in
+// full: an unknown flag or a value such as --k=abc or --theta=0.2x is an
+// InvalidArgument error, never a silent default. All subcommands exit
+// non-zero with a Status message on failure.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -136,20 +128,112 @@ namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
 
-// --key=value flags into a map; returns false on malformed arguments.
-bool ParseFlags(int argc, char** argv, int first,
-                std::map<std::string, std::string>* flags) {
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return false;
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      (*flags)[arg.substr(2)] = "1";
-    } else {
-      (*flags)[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+// The value shape of each flag the CLI understands.
+enum class FlagKind { kString, kBool, kUint, kDouble, kUintList };
+
+const std::map<std::string, FlagKind>& KnownFlags() {
+  using K = FlagKind;
+  static const std::map<std::string, FlagKind> kFlags = {
+      {"L", K::kUint},           {"algorithm", K::kString},
+      {"artifact", K::kString},  {"cache", K::kBool},
+      {"cache-max-mb", K::kUint}, {"chunk", K::kUint},
+      {"compress", K::kBool},    {"deadline-ms", K::kDouble},
+      {"delta", K::kString},     {"domain", K::kUint},
+      {"format", K::kString},    {"graph", K::kString},
+      {"in", K::kString},        {"index", K::kString},
+      {"journal", K::kString},   {"json", K::kString},
+      {"k", K::kUint},           {"keywords", K::kUintList},
+      {"keywords-per-vertex", K::kUint}, {"kind", K::kString},
+      {"largest-cc", K::kBool},  {"mix", K::kString},
+      {"mmap-hugepages", K::kBool}, {"mmap-populate", K::kBool},
+      {"n", K::kUint},           {"ops", K::kUint},
+      {"out", K::kString},       {"popularity", K::kString},
+      {"progressive", K::kBool}, {"qps", K::kDouble},
+      {"queries", K::kString},   {"quiet", K::kBool},
+      {"r", K::kUint},           {"reorder", K::kBool},
+      {"repeat", K::kUint},      {"rmax", K::kUint},
+      {"save-index", K::kBool},  {"seconds", K::kDouble},
+      {"seed", K::kUint},        {"signatures", K::kUint},
+      {"slo-p99-ms", K::kDouble}, {"slo-p999-ms", K::kDouble},
+      {"slo-qps", K::kDouble},   {"theta", K::kDouble},
+      {"threads", K::kUint},     {"truncate-journal", K::kBool},
+      {"vertices", K::kUint},    {"warmup-seconds", K::kDouble},
+      {"workers", K::kUint},     {"zipf", K::kDouble},
+  };
+  return kFlags;
+}
+
+// A decimal unsigned integer with nothing before or after it.
+bool IsUint(const std::string& text) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  std::strtoull(text.c_str(), &end, 10);
+  return errno != ERANGE && *end == '\0';
+}
+
+// A finite decimal number with nothing after it.
+bool IsDouble(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(value);
+}
+
+bool IsValidValue(FlagKind kind, const std::string& value) {
+  switch (kind) {
+    case FlagKind::kString:
+      return true;
+    case FlagKind::kBool:
+      return value == "0" || value == "1";
+    case FlagKind::kUint:
+      return IsUint(value);
+    case FlagKind::kDouble:
+      return IsDouble(value);
+    case FlagKind::kUintList: {
+      // Comma-separated ids; empty items (e.g. a trailing comma) are skipped.
+      std::size_t pos = 0;
+      while (pos <= value.size()) {
+        const std::size_t comma = std::min(value.find(',', pos), value.size());
+        const std::string item = value.substr(pos, comma - pos);
+        if (!item.empty() && !IsUint(item)) return false;
+        pos = comma + 1;
+      }
+      return true;
     }
   }
-  return true;
+  return false;
+}
+
+// --key=value flags into a map (a bare --key means --key=1). Rejects
+// positional arguments, flags outside KnownFlags(), and values that do not
+// have their flag's shape.
+Status ParseFlags(int argc, char** argv, int first,
+                  std::map<std::string, std::string>* flags) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument: " + arg);
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::string value =
+        eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    const auto known = KnownFlags().find(key);
+    if (known == KnownFlags().end()) {
+      return Status::InvalidArgument("unknown flag: --" + key);
+    }
+    if (!IsValidValue(known->second, value)) {
+      return Status::InvalidArgument("malformed value for --" + key + ": '" +
+                                     value + "'");
+    }
+    (*flags)[key] = value;
+  }
+  return Status::OK();
 }
 
 std::string FlagOr(const std::map<std::string, std::string>& flags,
@@ -158,6 +242,7 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// Numeric accessors; ParseFlags has already checked every value's shape.
 std::uint64_t IntFlag(const std::map<std::string, std::string>& flags,
                       const std::string& key, std::uint64_t fallback) {
   auto it = flags.find(key);
@@ -272,38 +357,6 @@ int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
     return Fail(Status::InvalidArgument(
         "--format=legacy cannot store a vertex permutation or encoded "
         "sections; drop --reorder/--compress or use --format=v2"));
-  }
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  if (shards > 0) {
-    // Sharded build: one offline phase, one artifact per shard at
-    // <out>.s<k>. Sharded artifacts keep identity external ids — the
-    // partition already follows the locality order, so a vertex permutation
-    // on top would only re-split the shards' contiguous runs.
-    if (format == "legacy") {
-      return Fail(Status::InvalidArgument(
-          "--shards requires --format=v2 (TOPLIDX1 has no shard manifest)"));
-    }
-    if (reorder) {
-      return Fail(Status::InvalidArgument(
-          "--shards and --reorder are mutually exclusive: sharded artifacts "
-          "keep identity external ids"));
-    }
-    Result<Graph> graph = ReadGraphBinary(graph_path);
-    if (!graph.ok()) return Fail(graph.status());
-    Timer timer;
-    ShardedEngineOptions options;
-    options.num_shards = shards;
-    options.engine.precompute.r_max =
-        static_cast<std::uint32_t>(IntFlag(flags, "rmax", 3));
-    options.engine.precompute.num_threads = IntFlag(flags, "threads", 0);
-    const Status status =
-        ShardedEngine::BuildArtifacts(*graph, options, out, compress);
-    if (!status.ok()) return Fail(status);
-    std::printf("indexed %s in %.2fs -> %s.s0..s%u (TOPLIDX2 sharded%s)\n",
-                graph_path.c_str(), timer.ElapsedSeconds(), out.c_str(),
-                shards - 1, compress ? ", compressed" : "");
-    return 0;
   }
   Result<Graph> graph = ReadGraphBinary(graph_path);
   if (!graph.ok()) return Fail(graph.status());
@@ -536,8 +589,7 @@ int CmdRecover(const std::map<std::string, std::string>& flags) {
   const std::string journal_path = FlagOr(flags, "journal", "");
   if (index_path.empty() || journal_path.empty()) {
     return Fail(Status::InvalidArgument(
-        "recover needs --index=ARTIFACT (or a --shards family prefix) and "
-        "--journal=FILE"));
+        "recover needs --index=ARTIFACT and --journal=FILE"));
   }
   const std::string out = FlagOr(flags, "out", "");
   const bool truncate_journal = FlagOr(flags, "truncate-journal", "0") == "1";
@@ -546,47 +598,15 @@ int CmdRecover(const std::map<std::string, std::string>& flags) {
         "--truncate-journal without --out would discard the journaled deltas "
         "without persisting them anywhere; add --out=ARTIFACT"));
   }
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-
   Timer timer;
   RecoveryInfo info;
-  std::unique_ptr<Engine> engine;
-  if (shards > 0) {
-    if (!out.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--out is unsharded-only: a recovered fleet re-persists via "
-          "`index build --shards` from the recovered graph"));
-    }
-    ShardedEngineOptions options;
-    options.num_shards = shards;
-    options.journal_path = journal_path;
-    options.engine.num_threads = IntFlag(flags, "threads", 0);
-    Result<std::unique_ptr<ShardedEngine>> recovered =
-        ShardedEngine::Recover(index_path, options, &info);
-    if (!recovered.ok()) return Fail(recovered.status());
-    const EngineStats stats = (*recovered)->Stats();
-    std::printf("recovered %s.s0..s%u + %s in %.3fs\n", index_path.c_str(),
-                shards - 1, journal_path.c_str(), timer.ElapsedSeconds());
-    std::printf("recovery report: %llu records replayed, %llu torn bytes "
-                "discarded, journal %s\n",
-                static_cast<unsigned long long>(info.records_replayed),
-                static_cast<unsigned long long>(info.torn_bytes_discarded),
-                info.journal_created ? "created empty" : "existing");
-    std::printf("serving epoch %llu (%zu vertices, %zu edges per replica)\n",
-                static_cast<unsigned long long>(stats.snapshot_epoch),
-                (*recovered)->shard(0).graph().NumVertices(),
-                (*recovered)->shard(0).graph().NumEdges());
-    return 0;
-  }
-
   EngineOptions options;
   options.index_path = index_path;
   options.journal_path = journal_path;
   options.num_threads = IntFlag(flags, "threads", 0);
   Result<std::unique_ptr<Engine>> recovered = Engine::Recover(options, &info);
   if (!recovered.ok()) return Fail(recovered.status());
-  engine = std::move(*recovered);
+  const std::unique_ptr<Engine> engine = std::move(*recovered);
   std::printf("recovered %s + %s in %.3fs\n", index_path.c_str(),
               journal_path.c_str(), timer.ElapsedSeconds());
   std::printf("recovery report: %llu records replayed, %llu torn bytes "
@@ -697,43 +717,6 @@ Result<std::unique_ptr<Engine>> OpenEngine(
   return Engine::Open(options);
 }
 
-// Sharded deployments: opens the artifact family `<index>.s0..s{N-1}` when
-// present, otherwise builds the shards in-process from --graph (like
-// Engine::Open's missing-index path, but nothing is persisted — use
-// `index build --shards` to write the family). Path fields of EngineOptions
-// are ignored by the coordinator; the remaining online flags apply per shard.
-Result<std::unique_ptr<ShardedEngine>> OpenShardedEngine(
-    const std::map<std::string, std::string>& flags, std::uint32_t num_shards) {
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  options.engine.precompute.r_max =
-      static_cast<std::uint32_t>(IntFlag(flags, "rmax", 3));
-  options.engine.num_threads = IntFlag(flags, "threads", 0);
-  options.engine.enable_result_cache = FlagOr(flags, "cache", "0") == "1";
-  options.engine.cache_max_bytes = IntFlag(flags, "cache-max-mb", 64) << 20;
-  options.engine.mmap_populate = FlagOr(flags, "mmap-populate", "0") == "1";
-  options.engine.mmap_huge_pages = FlagOr(flags, "mmap-hugepages", "0") == "1";
-  const std::string prefix = FlagOr(flags, "index", "index.bin");
-  if (std::filesystem::exists(ShardedEngine::ShardArtifactPath(prefix, 0))) {
-    return ShardedEngine::Open(prefix, options);
-  }
-  const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
-  Result<Graph> graph = ReadGraphBinary(graph_path);
-  if (!graph.ok()) return graph.status();
-  return ShardedEngine::FromGraph(std::move(*graph), options);
-}
-
-// Sharded artifacts keep identity external ids (Open enforces it), so the
-// centers a sharded deployment returns are already in the original id space.
-void PrintCommunitiesRaw(const std::vector<CommunityResult>& communities) {
-  for (std::size_t i = 0; i < communities.size(); ++i) {
-    const CommunityResult& c = communities[i];
-    std::printf("#%zu center=%u members=%zu sigma=%.3f influenced=%zu\n", i + 1,
-                c.community.center, c.community.size(), c.score(),
-                c.influence.size());
-  }
-}
-
 Result<DTopLOptions> BuildDTopLOptions(
     const std::map<std::string, std::string>& flags) {
   DTopLOptions options;
@@ -757,67 +740,7 @@ void PrintTruncation(bool truncated, double upper_bound) {
               "remaining score upper bound %.3f\n", upper_bound);
 }
 
-// query/dtopl against a sharded deployment: route → per-shard search →
-// commutative merge; answers are byte-identical to a single engine over the
-// same graph, so the printed output only differs by the routing line.
-int CmdQuerySharded(const std::map<std::string, std::string>& flags,
-                    bool diversified, std::uint32_t shards) {
-  Result<std::unique_ptr<ShardedEngine>> engine =
-      OpenShardedEngine(flags, shards);
-  if (!engine.ok()) return Fail(engine.status());
-  Result<Query> query = BuildQuery(flags);
-  if (!query.ok()) return Fail(query.status());
-
-  const double deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
-  const bool progressive = FlagOr(flags, "progressive", "0") == "1";
-  const bool controlled = progressive || deadline_ms > 0.0;
-
-  if (!diversified) {
-    Result<TopLResult> answer(TopLResult{});
-    if (controlled) {
-      ProgressiveOptions prog;
-      prog.deadline_seconds = deadline_ms / 1000.0;
-      prog.chunk_size = static_cast<std::uint32_t>(IntFlag(flags, "chunk", 8));
-      answer = (*engine)->SearchProgressive(*query, prog);
-    } else {
-      answer = (*engine)->Search(*query);
-    }
-    if (!answer.ok()) return Fail(answer.status());
-    PrintCommunitiesRaw(answer->communities);
-    PrintTruncation(answer->truncated, answer->score_upper_bound);
-  } else {
-    if (controlled) {
-      return Fail(Status::InvalidArgument(
-          "--progressive/--deadline-ms are not supported for dtopl with "
-          "--shards; drop the budget flags or serve unsharded"));
-    }
-    Result<DTopLOptions> options = BuildDTopLOptions(flags);
-    if (!options.ok()) return Fail(options.status());
-    Result<DTopLResult> answer = (*engine)->SearchDiversified(*query, *options);
-    if (!answer.ok()) return Fail(answer.status());
-    PrintCommunitiesRaw(answer->communities);
-    PrintTruncation(answer->truncated, answer->score_upper_bound);
-    std::printf("diversity score D(S) = %.3f\n", answer->diversity_score);
-  }
-
-  const std::vector<std::uint64_t> routed = (*engine)->ShardOps();
-  std::printf("routed to %zu/%u shards [",
-              static_cast<std::size_t>(
-                  std::count_if(routed.begin(), routed.end(),
-                                [](std::uint64_t ops) { return ops > 0; })),
-              (*engine)->num_shards());
-  for (std::size_t s = 0; s < routed.size(); ++s) {
-    std::printf("%s%llu", s == 0 ? "" : ", ",
-                static_cast<unsigned long long>(routed[s]));
-  }
-  std::printf("]\n");
-  return 0;
-}
-
 int CmdQuery(const std::map<std::string, std::string>& flags, bool diversified) {
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  if (shards > 0) return CmdQuerySharded(flags, diversified, shards);
   Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
   if (!engine.ok()) return Fail(engine.status());
   Result<Query> query = BuildQuery(flags);
@@ -1034,30 +957,8 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdServeBench(const std::map<std::string, std::string>& flags) {
-  // --shards=N swaps the served deployment: the workload, injection, and
-  // report are identical, shard(0)'s full replica stands in for the single
-  // engine's graph/precompute when deriving the stream, and the report grows
-  // the per-shard routed-op counts + imbalance.
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  std::unique_ptr<loadgen::ServingTarget> target;
-  const Engine* probe = nullptr;
-  if (shards > 0) {
-    Result<std::unique_ptr<ShardedEngine>> opened =
-        OpenShardedEngine(flags, shards);
-    if (!opened.ok()) return Fail(opened.status());
-    sharded = std::move(*opened);
-    target = std::make_unique<loadgen::ShardedTarget>(sharded.get());
-    probe = &sharded->shard(0);
-  } else {
-    Result<std::unique_ptr<Engine>> opened = OpenEngine(flags);
-    if (!opened.ok()) return Fail(opened.status());
-    engine = std::move(*opened);
-    target = std::make_unique<loadgen::EngineTarget>(engine.get());
-    probe = engine.get();
-  }
+  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
+  if (!engine.ok()) return Fail(engine.status());
 
   Result<loadgen::WorkloadSpec> spec =
       loadgen::WorkloadSpec::Named(FlagOr(flags, "mix", "mixed"));
@@ -1082,7 +983,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   // band to r_max and snap thetas to the precompute grid, preserving the
   // mix's own band shape (repeat_heavy pins single values so cache keys
   // repeat; overwriting its bands with the full grid would destroy that).
-  const PrecomputedData& pre = probe->precomputed();
+  const PrecomputedData& pre = (*engine)->precomputed();
   std::vector<std::uint32_t> radii;
   for (std::uint32_t r : spec->params.radius_values) {
     if (r >= 1 && r <= pre.r_max()) radii.push_back(r);
@@ -1105,7 +1006,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   }
   spec->params.theta_values = std::move(thetas);
   Result<loadgen::WorkloadGenerator> generator =
-      loadgen::WorkloadGenerator::Create(*spec, probe->graph());
+      loadgen::WorkloadGenerator::Create(*spec, (*engine)->graph());
   if (!generator.ok()) return Fail(generator.status());
 
   loadgen::InjectorOptions inject;
@@ -1122,12 +1023,12 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
     warmup.duration_seconds = warmup_seconds;
     warmup.max_ops = 0;
     Result<loadgen::LoadReport> ignored =
-        loadgen::LoadInjector(target.get(), *generator, warmup).Run();
+        loadgen::LoadInjector(engine->get(), *generator, warmup).Run();
     if (!ignored.ok()) return Fail(ignored.status());
   }
 
   Result<loadgen::LoadReport> report =
-      loadgen::LoadInjector(target.get(), *generator, inject).Run();
+      loadgen::LoadInjector(engine->get(), *generator, inject).Run();
   if (!report.ok()) return Fail(report.status());
   report->stream_digest = generator->StreamDigest(4096);
   std::printf("%s", report->ToString().c_str());
@@ -1170,14 +1071,16 @@ int main(int argc, char** argv) {
       first_flag = 3;
     }
     std::map<std::string, std::string> flags;
-    if (!ParseFlags(argc, argv, first_flag, &flags)) return Usage();
+    const Status parsed = ParseFlags(argc, argv, first_flag, &flags);
+    if (!parsed.ok()) return Fail(parsed);
     if (sub == "build") return CmdIndexBuild(flags);
     if (sub == "inspect") return CmdIndexInspect(flags);
     if (sub == "migrate") return CmdIndexMigrate(flags);
     return Usage();
   }
   std::map<std::string, std::string> flags;
-  if (!ParseFlags(argc, argv, 2, &flags)) return Usage();
+  const Status parsed = ParseFlags(argc, argv, 2, &flags);
+  if (!parsed.ok()) return Fail(parsed);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "convert") return CmdConvert(flags);
   if (command == "update") return CmdUpdate(flags);
