@@ -24,10 +24,18 @@ struct CommunityResult {
 /// Centers are unique per candidate, so this is a *total* order — which is
 /// what makes the parallel scoring path deterministic: the top-L of any
 /// candidate set under a total order is one specific set of communities, no
-/// matter in which order the candidates were refined and merged.
+/// matter in which order the candidates were refined and merged. RanksAbove
+/// is the same order on bare (σ, center) keys, for callers that hold a score
+/// but no influenced community yet.
+inline bool RanksAbove(double a_score, VertexId a_center, double b_score,
+                       VertexId b_center) {
+  if (a_score != b_score) return a_score > b_score;
+  return a_center < b_center;
+}
+
 inline bool BetterCommunity(const CommunityResult& a, const CommunityResult& b) {
-  if (a.score() != b.score()) return a.score() > b.score();
-  return a.community.center < b.community.center;
+  return RanksAbove(a.score(), a.community.center, b.score(),
+                    b.community.center);
 }
 
 /// \brief A TopL-ICDE answer: up to L communities sorted by σ descending

@@ -79,6 +79,11 @@ struct QueryStats {
 
   std::uint64_t candidates_refined = 0;   // extractions attempted
   std::uint64_t communities_found = 0;    // non-empty seed communities
+  /// Influence propagations run (PropagationEngine::Compute calls). Below
+  /// communities_found when neighbouring centers share a seed community: each
+  /// distinct seed set is propagated at most once per query, plus once more
+  /// for every repeat whose known σ still enters the top-L.
+  std::uint64_t propagations = 0;
 
   /// Triangle-substrate counters (truss/local_truss.h): alive triangles
   /// enumerated while verifying candidates, and fixpoint kill rounds whose
@@ -109,6 +114,7 @@ struct QueryStats {
     pruned_termination += other.pruned_termination;
     candidates_refined += other.candidates_refined;
     communities_found += other.communities_found;
+    propagations += other.propagations;
     triangles_inspected += other.triangles_inspected;
     support_recomputes_avoided += other.support_recomputes_avoided;
     waves += other.waves;
@@ -125,6 +131,7 @@ struct QueryStats {
            " pruned_termination=" + std::to_string(pruned_termination) +
            " refined=" + std::to_string(candidates_refined) +
            " found=" + std::to_string(communities_found) +
+           " propagations=" + std::to_string(propagations) +
            " triangles=" + std::to_string(triangles_inspected) +
            " recomputes_avoided=" + std::to_string(support_recomputes_avoided) +
            " waves=" + std::to_string(waves) +

@@ -72,6 +72,25 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   last_triangles_inspected_ = 0;
   last_support_recomputes_avoided_ = 0;
 
+  // Center-degree precheck: an edge (center, u) of a k-truss closes ≥ k−2
+  // triangles, each through another neighbour of the center, so a community
+  // needs ≥ k−1 keyword-carrying neighbours of the center (one for k = 2).
+  // Most candidates fail this, and failing it costs no ball. The reference
+  // path keeps the full pipeline so brute force checks the shortcut.
+  if (mode == Mode::kIncremental) {
+    const std::uint32_t needed = std::max<std::uint32_t>(query.k, 2) - 1;
+    std::uint32_t eligible = 0;
+    const bool filtered = !query.keywords.empty();  // as in HopExtractor
+    for (const Graph::Arc& arc : graph_->Neighbors(center)) {
+      if ((!filtered ||
+           HopExtractor::HasAnyKeyword(*graph_, arc.to, query.keywords)) &&
+          ++eligible >= needed) {
+        break;
+      }
+    }
+    if (eligible < needed) return false;
+  }
+
   // Step 1: keyword-filtered r-hop BFS. Vertices beyond r hops in the
   // keyword-satisfying subgraph can only be further away in any community
   // (a subgraph), so dropping them is exact, not heuristic.

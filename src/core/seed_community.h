@@ -74,7 +74,10 @@ class SeedCommunityExtractor {
   }
 
   /// Extract with an explicit pipeline choice (benchmarks, equivalence
-  /// sweeps, and QueryOptions::use_reference_extraction).
+  /// sweeps, and QueryOptions::use_reference_extraction). kIncremental
+  /// rejects a center with fewer than k−1 keyword-carrying neighbours before
+  /// building its ball (no k-truss edge can pass through it); kReference
+  /// always runs the full pipeline.
   bool Extract(VertexId center, const Query& query, Mode mode,
                SeedCommunity* out);
 

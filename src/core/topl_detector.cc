@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <span>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
+#include "common/check.h"
 #include "common/timer.h"
 #include "graph/local_subgraph.h"
 #include "keywords/bit_vector.h"
@@ -34,6 +38,14 @@ class TopLCollector {
 
   double threshold() const { return Full() ? entries_[worst_].score() : kNegInf; }
 
+  /// True when a community scoring `score` at `center` would change the
+  /// contents, i.e. when Offer would accept it.
+  bool Admits(double score, VertexId center) const {
+    if (!Full()) return true;
+    const CommunityResult& worst = entries_[worst_];
+    return RanksAbove(score, center, worst.score(), worst.community.center);
+  }
+
   /// Returns true when the offer changed the collector's contents.
   bool Offer(CommunityResult&& result) {
     if (!Full()) {
@@ -41,7 +53,7 @@ class TopLCollector {
       if (Full()) RecomputeWorst();
       return true;
     }
-    if (!BetterCommunity(result, entries_[worst_])) return false;
+    if (!Admits(result.score(), result.community.center)) return false;
     entries_[worst_] = std::move(result);
     RecomputeWorst();
     return true;
@@ -206,36 +218,93 @@ class PlanCursor {
   std::priority_queue<HeapEntry> heap_;
 };
 
+// Score-stage memo: σ(g) of every seed set already propagated within one
+// query. Neighbouring centers often peel down to the same k-truss, and θ is
+// fixed within a query, so the sorted member list alone determines σ(g). Keys
+// are compared in full (the hash only buckets them). Only scores are kept,
+// never influenced communities, so the memo stays a few KB.
+class ScoreMemo {
+ public:
+  std::optional<double> Find(const std::vector<VertexId>& seeds) const {
+    const auto it = scores_.find(seeds);
+    if (it == scores_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void Insert(const std::vector<VertexId>& seeds, double score) {
+    scores_.emplace(seeds, score);
+  }
+
+ private:
+  struct SeedSetHash {
+    std::size_t operator()(const std::vector<VertexId>& seeds) const {
+      std::uint64_t h = seeds.size();
+      for (const VertexId v : seeds) h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+
+  std::unordered_map<std::vector<VertexId>, double, SeedSetHash> scores_;
+};
+
 // Score stage: refines one chunk of candidate centers with the given
 // share-nothing scratch. Results and counters land in chunk-local state, so
 // concurrent chunks never touch shared memory.
+struct RefinedCandidate {
+  CommunityResult result;
+  // False for a repeat of a seed set this query already scored: only
+  // result.influence.score is set, and the merge propagates it again (for
+  // gInf) only if the collector admits that score.
+  bool propagated = false;
+};
+
 struct ChunkOutput {
-  std::vector<CommunityResult> found;
+  std::vector<RefinedCandidate> found;
   std::uint64_t refined = 0;
+  std::uint64_t propagations = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
   std::uint64_t triangles_inspected = 0;
   std::uint64_t support_recomputes_avoided = 0;
 };
 
+// `query_memo` holds the seed sets scored by earlier waves and is only read
+// here (workers share it); `worker_memo` is the calling worker's own record of
+// the seed sets it scored in this wave. The chunk accumulates in a local and
+// writes its slot once: neighbouring slots share cache lines, and a candidate
+// the center-degree precheck rejects costs less than a line bouncing between
+// cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
                  SeedCommunityExtractor::Mode mode,
                  SeedCommunityExtractor& extractor, PropagationEngine& engine,
+                 const ScoreMemo& query_memo, ScoreMemo* worker_memo,
                  const CancelToken& cancel, const DeadlineClock& deadline,
-                 ChunkOutput* out) {
+                 ChunkOutput* slot) {
   if (cancel.cancelled() || deadline.Expired()) {
-    out->skipped += candidates.size();
+    slot->skipped += candidates.size();
     return;
   }
+  ChunkOutput out;
   for (VertexId v : candidates) {
-    ++out->refined;
+    ++out.refined;
     CommunityResult candidate;
     const bool found = extractor.Extract(v, query, mode, &candidate.community);
-    out->triangles_inspected += extractor.last_triangles_inspected();
-    out->support_recomputes_avoided += extractor.last_support_recomputes_avoided();
+    out.triangles_inspected += extractor.last_triangles_inspected();
+    out.support_recomputes_avoided += extractor.last_support_recomputes_avoided();
     if (!found) continue;
-    candidate.influence = engine.Compute(candidate.community.vertices, query.theta);
-    out->found.push_back(std::move(candidate));
+    const std::vector<VertexId>& seeds = candidate.community.vertices;
+    std::optional<double> known = query_memo.Find(seeds);
+    if (!known) known = worker_memo->Find(seeds);
+    if (known) {
+      candidate.influence.score = *known;
+      out.found.push_back({std::move(candidate), false});
+      continue;
+    }
+    candidate.influence = engine.Compute(seeds, query.theta);
+    ++out.propagations;
+    worker_memo->Insert(seeds, candidate.score());
+    out.found.push_back({std::move(candidate), true});
   }
+  *slot = std::move(out);
 }
 
 }  // namespace
@@ -306,26 +375,63 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   std::size_t wave_target =
       parallel ? std::max<std::size_t>(query.top_l, chunk_size) : 1;
 
+  // Scores the calling thread merges. `known` is σ of a seed set this query
+  // already propagated: the propagation (needed now only for gInf) then runs
+  // only if the collector admits that σ, since Offer would reject it anyway.
+  ScoreMemo memo;
+  auto score_and_offer = [&](CommunityResult&& candidate,
+                             std::optional<double> known) {
+    if (known && !collector.Admits(*known, candidate.community.center)) {
+      return false;
+    }
+    candidate.influence =
+        engine_.Compute(candidate.community.vertices, query.theta);
+    ++stats.propagations;
+    TOPL_DCHECK(!known || *known == candidate.score(),
+                "memoized influence score differs from its propagation");
+    if (!known) memo.Insert(candidate.community.vertices, candidate.score());
+    return collector.Offer(std::move(candidate));
+  };
+
+  // The wave being scored, and on the parallel path the next one, which the
+  // calling thread plans while the pool scores the current wave. Each wave's
+  // bound is the frontier just before it was gathered: it bounds every
+  // candidate in that wave and everything gathered after it (child keys never
+  // exceed their parent's), so it is the anytime gap once the wave is
+  // unscored.
   std::vector<VertexId> wave;
+  double wave_bound = kNegInf;
+  std::vector<VertexId> next_wave;
+  double next_bound = kNegInf;
+  bool next_planned = false;
+  // Bound on every candidate not yet scored.
+  auto unscored_bound = [&] {
+    return next_planned ? next_bound : plan.FrontierBound();
+  };
   std::vector<CommunityResult> progressive_snapshot;
   bool stopped = false;
 
-  while (!plan.Done() && !stopped) {
-    // Checkpoint: deadline / cancellation, before planning the next wave.
+  while (!stopped && (next_planned || !plan.Done())) {
+    // Checkpoint: deadline / cancellation, before scoring the next wave.
     if (checkpoints && (control.cancel.cancelled() || deadline.Expired())) {
       result.truncated = true;
-      result.score_upper_bound = plan.FrontierBound();
+      result.score_upper_bound = unscored_bound();
       break;
     }
 
-    // Bounds every candidate this wave will gather (child keys never exceed
-    // their parent's): the anytime gap if the wave is cut short mid-scoring.
-    const double wave_bound = plan.FrontierBound();
-    wave.clear();
-    plan.Gather(collector.Full(), collector.threshold(), wave_target, &wave,
-                &stats);
+    if (next_planned) {
+      wave.swap(next_wave);
+      wave_bound = next_bound;
+      next_planned = false;
+    } else {
+      wave_bound = plan.FrontierBound();
+      wave.clear();
+      plan.Gather(collector.Full(), collector.threshold(), wave_target, &wave,
+                  &stats);
+    }
     if (wave.empty()) continue;  // everything pruned; heap may be done now
     ++stats.waves;
+    if (parallel) wave_target = std::min(max_wave, wave_target * 4);
 
     bool merged_any = false;
     std::uint64_t skipped = 0;
@@ -357,9 +463,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
             extractor_.last_support_recomputes_avoided();
         if (!found) continue;
         ++stats.communities_found;
-        candidate.influence =
-            engine_.Compute(candidate.community.vertices, query.theta);
-        merged_any |= collector.Offer(std::move(candidate));
+        const std::optional<double> known = memo.Find(candidate.community.vertices);
+        merged_any |= score_and_offer(std::move(candidate), known);
       }
     } else {
       // Score: fan the wave out over the pool. Chunks are claimed from a
@@ -369,7 +474,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       // chunks themselves are only microseconds of work. Each worker owns
       // share-nothing scratch; results land in per-chunk slots and merge
       // afterwards in wave order. TaskGroup's help-first join keeps this
-      // legal even when the calling thread is itself a pool worker.
+      // legal even when the calling thread is itself a pool worker. Workers
+      // only read the query's memo; the merge extends it after the join.
       const std::size_t num_chunks = (wave.size() + chunk_size - 1) / chunk_size;
       std::vector<ChunkOutput> outputs(num_chunks);
       std::atomic<std::size_t> next_chunk{0};
@@ -377,30 +483,52 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       auto score_worker = [&, this] {
         const LeasePool<SeedCommunityExtractor>::Lease extractor(&extractor_pool_);
         const PropagationEnginePool::Lease engine(&engine_pool_);
+        ScoreMemo worker_memo;
         for (;;) {
           const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
           if (c >= num_chunks) break;
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, *extractor, *engine, control.cancel,
-                      deadline, &outputs[c]);
+                      extraction_mode, *extractor, *engine, memo, &worker_memo,
+                      control.cancel, deadline, &outputs[c]);
         }
       };
+      // No more tasks than hardware threads: on an oversubscribed pool a
+      // worker preempted mid-chunk stalls the whole wave's join.
+      static const std::size_t kHardwareThreads =
+          std::max(1u, std::thread::hardware_concurrency());
       const std::size_t num_workers =
-          std::min(control.pool->num_threads(), num_chunks);
+          std::min({control.pool->num_threads(), num_chunks, kHardwareThreads});
       ThreadPool::TaskGroup group(control.pool);
       for (std::size_t w = 0; w < num_workers; ++w) group.Spawn(score_worker);
+      // Plan the next wave meanwhile. Its threshold predates this wave's
+      // merge, so it may keep candidates the merged threshold would prune:
+      // more refinement at worst, never a different answer.
+      if (!plan.Done()) {
+        next_bound = plan.FrontierBound();
+        next_wave.clear();
+        plan.Gather(collector.Full(), collector.threshold(), wave_target,
+                    &next_wave, &stats);
+        next_planned = true;
+      }
       group.Wait();
       stats.parallel_chunks += num_chunks;
       for (ChunkOutput& out : outputs) {
         stats.candidates_refined += out.refined;
         stats.communities_found += out.found.size();
+        stats.propagations += out.propagations;
         stats.triangles_inspected += out.triangles_inspected;
         stats.support_recomputes_avoided += out.support_recomputes_avoided;
         skipped += out.skipped;
-        for (CommunityResult& found : out.found) {
-          merged_any |= collector.Offer(std::move(found));
+        for (RefinedCandidate& found : out.found) {
+          if (found.propagated) {
+            memo.Insert(found.result.community.vertices, found.result.score());
+            merged_any |= collector.Offer(std::move(found.result));
+          } else {
+            const double known = found.result.score();
+            merged_any |= score_and_offer(std::move(found.result), known);
+          }
         }
       }
     }
@@ -420,19 +548,17 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       SortCommunityResults(&progressive_snapshot);
       ProgressiveUpdate update;
       update.communities = progressive_snapshot;
-      update.upper_bound = plan.FrontierBound();
+      update.upper_bound = unscored_bound();
       update.wave = stats.waves;
       update.candidates_refined = stats.candidates_refined;
       if (!control.on_progress(update)) {
         // The caller is satisfied; the wave itself merged completely, so the
         // remaining frontier is the exact anytime gap (−∞ when exhausted).
         result.truncated = true;
-        result.score_upper_bound = plan.FrontierBound();
+        result.score_upper_bound = unscored_bound();
         stopped = true;
       }
     }
-
-    if (parallel) wave_target = std::min(max_wave, wave_target * 4);
   }
 
   result.communities = collector.Take();

@@ -27,7 +27,10 @@ namespace topl {
 ///  - Score: each wave's candidates are refined — maximal seed community
 ///    extraction plus exact MIA propagation — either inline (sequential) or
 ///    fanned out in chunks over a ThreadPool (SearchControl::pool), with
-///    share-nothing per-chunk scratch.
+///    share-nothing per-chunk scratch. While the pool scores a wave, the
+///    calling thread plans the next one. A per-query memo of σ(g) by seed
+///    set means a community reached from several centers is propagated
+///    once, and again only if its known σ still enters the top-L.
 ///  - Merge: refined communities fold into a bounded top-L collector ordered
 ///    by the canonical total order (σ desc, center asc), whose L-th entry
 ///    drives the score pruning / early-termination threshold of later waves.

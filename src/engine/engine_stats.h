@@ -212,6 +212,7 @@ class EngineStatsShard {
     pruned_termination_.fetch_add(qs.pruned_termination, relaxed);
     candidates_refined_.fetch_add(qs.candidates_refined, relaxed);
     communities_found_.fetch_add(qs.communities_found, relaxed);
+    propagations_.fetch_add(qs.propagations, relaxed);
     triangles_inspected_.fetch_add(qs.triangles_inspected, relaxed);
     support_recomputes_avoided_.fetch_add(qs.support_recomputes_avoided, relaxed);
     waves_.fetch_add(qs.waves, relaxed);
@@ -244,6 +245,7 @@ class EngineStatsShard {
     shard.pruned_termination = pruned_termination_.load(relaxed);
     shard.candidates_refined = candidates_refined_.load(relaxed);
     shard.communities_found = communities_found_.load(relaxed);
+    shard.propagations = propagations_.load(relaxed);
     shard.triangles_inspected = triangles_inspected_.load(relaxed);
     shard.support_recomputes_avoided = support_recomputes_avoided_.load(relaxed);
     shard.waves = waves_.load(relaxed);
@@ -286,6 +288,7 @@ class EngineStatsShard {
   std::atomic<std::uint64_t> pruned_termination_{0};
   std::atomic<std::uint64_t> candidates_refined_{0};
   std::atomic<std::uint64_t> communities_found_{0};
+  std::atomic<std::uint64_t> propagations_{0};
   std::atomic<std::uint64_t> triangles_inspected_{0};
   std::atomic<std::uint64_t> support_recomputes_avoided_{0};
   std::atomic<std::uint64_t> waves_{0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/epoch.h"
 
 namespace topl {
 
@@ -51,11 +52,11 @@ bool HopExtractor::Extract(VertexId center, std::uint32_t radius,
     return false;
   }
 
-  ++epoch_;
+  const std::uint32_t epoch = NextEpoch(&epoch_, &stamp_);
   out->center = center;
 
   // BFS, assigning local ids in discovery order.
-  stamp_[center] = epoch_;
+  stamp_[center] = epoch;
   local_of_[center] = 0;
   out->global_ids.push_back(center);
   out->dist.push_back(0);
@@ -66,9 +67,9 @@ bool HopExtractor::Extract(VertexId center, std::uint32_t radius,
     ++head;
     if (du == radius) continue;
     for (const Graph::Arc& arc : graph_->Neighbors(u)) {
-      if (stamp_[arc.to] == epoch_) continue;
+      if (stamp_[arc.to] == epoch) continue;
       if (filtered && !HasAnyKeyword(*graph_, arc.to, keyword_filter)) continue;
-      stamp_[arc.to] = epoch_;
+      stamp_[arc.to] = epoch;
       local_of_[arc.to] = static_cast<std::uint32_t>(out->global_ids.size());
       out->global_ids.push_back(arc.to);
       out->dist.push_back(du + 1);
@@ -80,7 +81,7 @@ bool HopExtractor::Extract(VertexId center, std::uint32_t radius,
   const std::size_t nv = out->global_ids.size();
   for (std::uint32_t l = 0; l < nv; ++l) {
     for (const Graph::Arc& arc : graph_->Neighbors(out->global_ids[l])) {
-      if (stamp_[arc.to] != epoch_) continue;
+      if (stamp_[arc.to] != epoch) continue;
       const std::uint32_t peer = local_of_[arc.to];
       if (l < peer) {
         out->edge_endpoints.emplace_back(l, peer);

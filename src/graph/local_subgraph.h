@@ -71,6 +71,8 @@ class HopExtractor {
                             std::span<const KeywordId> query);
 
  private:
+  friend class EpochWrapTestPeer;
+
   const Graph* graph_;
   // Epoch-stamped global->local map: O(1) membership without O(n) clearing.
   std::vector<std::uint32_t> stamp_;

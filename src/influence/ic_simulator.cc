@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/epoch.h"
 
 namespace topl {
 
@@ -15,13 +16,13 @@ IcSimulator::IcSimulator(const Graph& g)
 void IcSimulator::RunCascades(std::span<const VertexId> seeds,
                               const Options& options) {
   TOPL_CHECK(options.num_rounds > 0, "IcSimulator requires num_rounds > 0");
-  ++epoch_;
+  const std::uint32_t epoch = NextEpoch(&epoch_, &stamp_);
   touched_.clear();
   Rng rng(options.seed);
 
-  auto touch = [this](VertexId v) {
-    if (stamp_[v] != epoch_) {
-      stamp_[v] = epoch_;
+  auto touch = [this, epoch](VertexId v) {
+    if (stamp_[v] != epoch) {
+      stamp_[v] = epoch;
       count_[v] = 0;
       touched_.push_back(v);
     }

@@ -44,6 +44,8 @@ class IcSimulator {
                                 const Options& options);
 
  private:
+  friend class EpochWrapTestPeer;
+
   // Runs the cascades and returns per-touched-vertex activation counts.
   void RunCascades(std::span<const VertexId> seeds, const Options& options);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/epoch.h"
 
 namespace topl {
 
@@ -13,13 +14,13 @@ InfluencedCommunity PropagationEngine::Compute(std::span<const VertexId> seeds,
                                                double theta) {
   TOPL_DCHECK(theta >= 0.0 && theta < 1.0, "influence threshold must be in [0, 1)");
   InfluencedCommunity out;
-  ++epoch_;
+  const std::uint32_t epoch = NextEpoch(&epoch_, &stamp_);
   heap_.clear();
 
   for (VertexId s : seeds) {
     TOPL_DCHECK(s < graph_->NumVertices(), "seed out of range");
-    if (stamp_[s] == epoch_) continue;  // duplicate seed
-    stamp_[s] = epoch_;
+    if (stamp_[s] == epoch) continue;  // duplicate seed
+    stamp_[s] = epoch;
     best_[s] = 1.0;
     heap_.push_back({1.0, s});
   }
@@ -40,8 +41,8 @@ InfluencedCommunity PropagationEngine::Compute(std::span<const VertexId> seeds,
     for (const Graph::Arc& arc : graph_->Neighbors(top.vertex)) {
       const double candidate = top.prob * static_cast<double>(arc.prob);
       if (candidate < theta || candidate == 0.0) continue;
-      if (stamp_[arc.to] != epoch_) {
-        stamp_[arc.to] = epoch_;
+      if (stamp_[arc.to] != epoch) {
+        stamp_[arc.to] = epoch;
         best_[arc.to] = candidate;
         heap_.push_back({candidate, arc.to});
         std::push_heap(heap_.begin(), heap_.end());

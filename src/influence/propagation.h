@@ -53,6 +53,8 @@ class PropagationEngine {
   InfluencedCommunity ComputeFromSource(VertexId source, double theta);
 
  private:
+  friend class EpochWrapTestPeer;
+
   struct HeapEntry {
     double prob;
     VertexId vertex;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/epoch.h"
+
 namespace topl {
 
 void TriangleSubstrate::Bind(const LocalGraph& lg) {
@@ -60,7 +62,7 @@ void TriangleSubstrate::EnumerateSupports(const std::vector<char>& edge_alive,
   for (std::uint32_t u = 0; u < nv; ++u) {
     const auto out_u = OutNeighbors(u);
     if (out_u.size() < 2) continue;  // no wedge can open at u
-    const std::uint32_t epoch = NextEpoch();
+    const std::uint32_t epoch = NextEpoch(&epoch_, &mark_stamp_);
     for (const LocalGraph::LocalArc& arc : out_u) {
       if (kFiltered && !edge_alive[arc.local_edge]) continue;
       mark_stamp_[arc.to] = epoch;

@@ -149,16 +149,6 @@ class TriangleSubstrate {
             out_arcs_.data() + out_offsets_[v + 1]};
   }
 
-  /// Advances the mark epoch, clearing stamps on the (once per 2^32 uses)
-  /// wraparound so stale marks can never alias a fresh epoch.
-  std::uint32_t NextEpoch() {
-    if (++epoch_ == 0) {
-      std::fill(mark_stamp_.begin(), mark_stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    return epoch_;
-  }
-
   template <bool kFiltered>
   void EnumerateSupports(const std::vector<char>& edge_alive,
                          std::vector<std::uint32_t>* support);

@@ -310,12 +310,14 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   a.pruned_keyword = 1;
   a.pruned_termination = 2;
   a.candidates_refined = 4;
+  a.propagations = 3;
   a.elapsed_seconds = 0.25;
   a.triangles_inspected = 10;
   QueryStats b;
   b.heap_pops = 5;
   b.pruned_support = 7;
   b.communities_found = 1;
+  b.propagations = 6;
   b.triangles_inspected = 30;
   b.support_recomputes_avoided = 2;
   b.elapsed_seconds = 0.5;
@@ -327,6 +329,7 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   EXPECT_EQ(a.TotalPruned(), 10u);
   EXPECT_EQ(a.candidates_refined, 4u);
   EXPECT_EQ(a.communities_found, 1u);
+  EXPECT_EQ(a.propagations, 9u);
   EXPECT_EQ(a.triangles_inspected, 40u);
   EXPECT_EQ(a.support_recomputes_avoided, 2u);
   EXPECT_DOUBLE_EQ(a.elapsed_seconds, 0.75);
@@ -337,19 +340,25 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
       MakeEngineFromSharedIndex(EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::uint64_t triangles = 0;
+  std::uint64_t propagations = 0;
   for (const Query& q : world_->queries) {
     Result<TopLResult> result = (*engine)->Search(q);
     ASSERT_TRUE(result.ok());
     triangles += result->stats.triangles_inspected;
+    propagations += result->stats.propagations;
     if (result->stats.communities_found > 0) {
       // Extracting a community walks its triangles on the (default)
-      // incremental path, so this query must have metered some.
+      // incremental path, so this query must have metered some, and its
+      // first community is always propagated.
       EXPECT_GT(result->stats.triangles_inspected, 0u);
+      EXPECT_GT(result->stats.propagations, 0u);
     }
+    EXPECT_LE(result->stats.propagations, result->stats.communities_found);
   }
   ASSERT_GT(triangles, 0u);  // the workload finds communities
   // The per-query counters must fold into the engine aggregate.
   EXPECT_EQ((*engine)->Stats().query_stats.triangles_inspected, triangles);
+  EXPECT_EQ((*engine)->Stats().query_stats.propagations, propagations);
 }
 
 TEST_F(EngineTest, CreateRejectsMismatchedParts) {

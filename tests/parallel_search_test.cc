@@ -21,6 +21,7 @@ namespace {
 
 using testing::BuildIndexFor;
 using testing::BuiltIndex;
+using testing::ExpectIdentical;
 
 Graph MakeRandomGraph(std::uint64_t seed, std::size_t vertices = 220) {
   SmallWorldOptions gen;
@@ -31,27 +32,6 @@ Graph MakeRandomGraph(std::uint64_t seed, std::size_t vertices = 220) {
   Result<Graph> g = MakeSmallWorld(gen);
   EXPECT_TRUE(g.ok()) << g.status().ToString();
   return std::move(g).value();
-}
-
-// Byte-identical equality: same centers, same member lists, same influenced
-// vertices, bit-identical cpp values and scores, same order.
-void ExpectIdentical(const std::vector<CommunityResult>& actual,
-                     const std::vector<CommunityResult>& expected,
-                     const char* label) {
-  ASSERT_EQ(actual.size(), expected.size()) << label;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].community.center, expected[i].community.center)
-        << label << " rank " << i;
-    EXPECT_EQ(actual[i].community.vertices, expected[i].community.vertices)
-        << label << " rank " << i;
-    EXPECT_EQ(actual[i].community.edges, expected[i].community.edges)
-        << label << " rank " << i;
-    EXPECT_EQ(actual[i].influence.vertices, expected[i].influence.vertices)
-        << label << " rank " << i;
-    EXPECT_EQ(actual[i].influence.cpp, expected[i].influence.cpp)
-        << label << " rank " << i;
-    EXPECT_EQ(actual[i].score(), expected[i].score()) << label << " rank " << i;
-  }
 }
 
 // The headline determinism property: across ≥20 random graphs, the parallel

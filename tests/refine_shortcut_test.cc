@@ -1,0 +1,299 @@
+// The refine stage's two exact short-circuits against the brute-force
+// oracle (core/brute_force, which runs the full reference pipeline on every
+// center):
+//  - the per-query influence memo, which propagates each distinct seed set
+//    once and re-propagates a repeat only when its known σ enters the top-L;
+//  - the center-degree precheck, which rejects a center with fewer than k−1
+//    keyword-carrying neighbours before extracting its ball.
+// Planted-clique graphs make every center of a clique yield the same
+// community (memo hits); keyword-sparse graphs make most centers fail the
+// precheck. Answers must be byte-identical to the oracle, sequentially, in
+// parallel, for DTopL, and for a detector reused across queries.
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "core/brute_force.h"
+#include "core/dtopl_detector.h"
+#include "core/topl_detector.h"
+#include "graph/generators.h"
+#include "gtest/gtest.h"
+#include "tests/test_util.h"
+
+namespace topl {
+namespace {
+
+using testing::BuildIndexFor;
+using testing::BuiltIndex;
+using testing::ExpectIdentical;
+
+// Disjoint cliques of the query keywords {0, 1}, each with its own edge
+// probability (two share size and probability, so their σ tie and the
+// center id decides), joined by single bridge edges and trailed by keyword-5
+// followers that only receive influence.
+Graph MakePlantedCliques() {
+  const std::vector<std::uint32_t> sizes = {4, 5, 6, 7, 8, 6, 6};
+  const std::vector<double> probs = {0.7, 0.6, 0.5, 0.4, 0.35, 0.55, 0.55};
+  std::size_t n = 0;
+  for (const std::uint32_t s : sizes) n += 2 * s;  // clique + followers
+  GraphBuilder b(n);
+  VertexId next = 0;
+  VertexId previous_first = kInvalidVertex;
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    const VertexId first = next;
+    for (VertexId u = first; u < first + sizes[c]; ++u) {
+      for (VertexId v = u + 1; v < first + sizes[c]; ++v) b.AddEdge(u, v, probs[c]);
+      b.AddKeyword(u, static_cast<KeywordId>(u % 2));
+    }
+    next += sizes[c];
+    // A follower chain hanging off the clique's last vertex.
+    VertexId tail = first + sizes[c] - 1;
+    for (std::uint32_t f = 0; f < sizes[c]; ++f, ++next) {
+      b.AddEdge(tail, next, 0.8);
+      b.AddKeyword(next, 5);
+      tail = next;
+    }
+    if (previous_first != kInvalidVertex) b.AddEdge(previous_first, first, 0.3);
+    previous_first = first;
+  }
+  Result<Graph> g = std::move(b).Build();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+// A small-world graph where about one vertex in five carries a query keyword
+// ({0, 1, 2, 3} of a 20-keyword domain, one keyword each).
+Graph MakeKeywordSparse(std::uint64_t seed) {
+  SmallWorldOptions gen;
+  gen.num_vertices = 200;
+  gen.ring_neighbors = 10;
+  gen.seed = seed;
+  gen.keywords.domain_size = 20;
+  gen.keywords.keywords_per_vertex = 1;
+  Result<Graph> g = MakeSmallWorld(gen);
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+Query MakeQuery(std::vector<KeywordId> keywords, std::uint32_t k,
+                std::uint32_t radius, double theta, std::uint32_t top_l) {
+  Query q;
+  q.keywords = std::move(keywords);
+  q.k = k;
+  q.radius = radius;
+  q.theta = theta;
+  q.top_l = top_l;
+  return q;
+}
+
+std::string Label(const Query& q) {
+  return "k=" + std::to_string(q.k) + " r=" + std::to_string(q.radius) +
+         " theta=" + std::to_string(q.theta) + " L=" + std::to_string(q.top_l);
+}
+
+// The DTopL oracle: greedy selection over the brute-force top-(nL) pool.
+void ExpectDTopLMatchesOracle(const Graph& g, DTopLDetector& detector,
+                              const Query& q, const std::string& label) {
+  DTopLOptions options;
+  options.n_factor = 3;
+  Result<DTopLResult> got = detector.Search(q, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<std::vector<CommunityResult>> all = EnumerateAllCommunities(g, q);
+  ASSERT_TRUE(all.ok());
+  std::vector<CommunityResult> pool = *all;
+  if (pool.size() > q.top_l * options.n_factor) {
+    pool.resize(q.top_l * options.n_factor);
+  }
+  std::vector<CommunityResult> want;
+  for (const std::size_t i : SelectDiversifiedGreedyWP(pool, q.top_l, nullptr)) {
+    want.push_back(pool[i]);
+  }
+  ExpectIdentical(got->communities, want, ("dtopl " + label).c_str());
+}
+
+TEST(RefineShortcutTest, PlantedCliquesMatchBruteForce) {
+  const Graph g = MakePlantedCliques();
+  const BuiltIndex built = BuildIndexFor(g);
+  TopLDetector detector(g, built.pre(), built.tree);
+  DTopLDetector dtopl(g, built.pre(), built.tree);
+  std::uint64_t found = 0;
+  std::uint64_t propagations = 0;
+  for (std::uint32_t k = 2; k <= 6; ++k) {
+    for (std::uint32_t r = 1; r <= 2; ++r) {
+      for (const double theta : {0.0, 0.1, 0.3}) {
+        for (const std::uint32_t top_l : {1u, 3u, 8u}) {
+          const Query q = MakeQuery({0, 1}, k, r, theta, top_l);
+          Result<TopLResult> got = detector.Search(q);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          Result<TopLResult> want = BruteForceTopL(g, q);
+          ASSERT_TRUE(want.ok());
+          ExpectIdentical(got->communities, want->communities, Label(q).c_str());
+          EXPECT_LE(got->stats.propagations, got->stats.communities_found);
+          found += got->stats.communities_found;
+          propagations += got->stats.propagations;
+          ExpectDTopLMatchesOracle(g, dtopl, q, Label(q));
+        }
+      }
+    }
+  }
+  // Centers of one clique share its community, so the memo must have saved
+  // propagations across the sweep.
+  EXPECT_LT(propagations, found);
+}
+
+TEST(RefineShortcutTest, RepeatedCommunityIsPropagatedOnceWhenItCannotEnter) {
+  // With L = 1 the first center of the best clique fills the collector; its
+  // clique-mates tie on σ but lose the center tie-break, so none of them is
+  // propagated again.
+  const Graph g = MakePlantedCliques();
+  const BuiltIndex built = BuildIndexFor(g);
+  TopLDetector detector(g, built.pre(), built.tree);
+  const Query q = MakeQuery({0, 1}, 4, 1, 0.1, 1);
+  Result<TopLResult> got = detector.Search(q);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->communities.size(), 1u);
+  EXPECT_GT(got->stats.communities_found, got->stats.propagations);
+}
+
+TEST(RefineShortcutTest, KeywordSparseGraphsMatchBruteForce) {
+  std::uint64_t found = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const Graph g = MakeKeywordSparse(seed);
+    const BuiltIndex built = BuildIndexFor(g);
+    TopLDetector detector(g, built.pre(), built.tree);
+    DTopLDetector dtopl(g, built.pre(), built.tree);
+    for (std::uint32_t k = 2; k <= 6; ++k) {
+      for (std::uint32_t r = 1; r <= 2; ++r) {
+        for (const double theta : {0.0, 0.1, 0.3}) {
+          const Query q = MakeQuery({0, 1, 2, 3}, k, r, theta, 4);
+          const std::string label = "seed=" + std::to_string(seed) + " " + Label(q);
+          Result<TopLResult> got = detector.Search(q);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          Result<TopLResult> want = BruteForceTopL(g, q);
+          ASSERT_TRUE(want.ok());
+          ExpectIdentical(got->communities, want->communities, label.c_str());
+          found += got->communities.size();
+          ExpectDTopLMatchesOracle(g, dtopl, q, label);
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);  // the sparse keywords still leave communities
+}
+
+TEST(RefineShortcutTest, PrecheckAgreesWithReferenceExtractionOnEveryCenter) {
+  std::uint64_t rejected_by_precheck = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const Graph g = MakeKeywordSparse(seed);
+    SeedCommunityExtractor incremental(g);
+    SeedCommunityExtractor reference(g);
+    for (std::uint32_t k = 2; k <= 6; ++k) {
+      const Query q = MakeQuery({0, 1, 2, 3}, k, 2, 0.1, 1);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        SeedCommunity got;
+        SeedCommunity want;
+        const bool got_ok = incremental.Extract(
+            v, q, SeedCommunityExtractor::Mode::kIncremental, &got);
+        const bool want_ok = reference.Extract(
+            v, q, SeedCommunityExtractor::Mode::kReference, &want);
+        ASSERT_EQ(got_ok, want_ok) << "k=" << k << " center " << v;
+        EXPECT_EQ(got.vertices, want.vertices) << "k=" << k << " center " << v;
+        EXPECT_EQ(got.edges, want.edges) << "k=" << k << " center " << v;
+        // The precheck returns before any ball is built; the reference path
+        // always builds one for a keyword-carrying center.
+        if (!got_ok && incremental.last_subgraph_edges() == 0 &&
+            reference.last_subgraph_edges() > 0) {
+          ++rejected_by_precheck;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected_by_precheck, 0u);
+}
+
+TEST(RefineShortcutTest, ReusedDetectorMatchesFreshDetectorAcrossTheta) {
+  // The memo is per query: scores memoized at one θ must not answer the same
+  // seed sets at another. A leaked lower score would wrongly skip a repeat,
+  // a leaked higher one would cost extra propagations, so both directions
+  // are run and the sequential counters must match a fresh detector's too.
+  for (const bool cliques : {true, false}) {
+    const Graph g = cliques ? MakePlantedCliques() : MakeKeywordSparse(3);
+    const BuiltIndex built = BuildIndexFor(g);
+    const std::vector<KeywordId> keywords =
+        cliques ? std::vector<KeywordId>{0, 1} : std::vector<KeywordId>{0, 1, 2, 3};
+    TopLDetector reused(g, built.pre(), built.tree);
+    DTopLDetector reused_dtopl(g, built.pre(), built.tree);
+    for (const double theta : {0.1, 0.3, 0.1}) {
+      const Query q = MakeQuery(keywords, 3, 2, theta, 3);
+      Result<TopLResult> got = reused.Search(q);
+      ASSERT_TRUE(got.ok());
+      TopLDetector fresh(g, built.pre(), built.tree);
+      Result<TopLResult> want = fresh.Search(q);
+      ASSERT_TRUE(want.ok());
+      ExpectIdentical(got->communities, want->communities, Label(q).c_str());
+      EXPECT_EQ(got->stats.propagations, want->stats.propagations) << Label(q);
+
+      Result<DTopLResult> got_d = reused_dtopl.Search(q);
+      ASSERT_TRUE(got_d.ok());
+      DTopLDetector fresh_dtopl(g, built.pre(), built.tree);
+      Result<DTopLResult> want_d = fresh_dtopl.Search(q);
+      ASSERT_TRUE(want_d.ok());
+      ExpectIdentical(got_d->communities, want_d->communities,
+                      ("dtopl " + Label(q)).c_str());
+      EXPECT_EQ(got_d->diversity_score, want_d->diversity_score);
+      EXPECT_EQ(got_d->candidate_stats.propagations,
+                want_d->candidate_stats.propagations)
+          << Label(q);
+    }
+  }
+}
+
+TEST(RefineShortcutTest, ParallelPathMatchesSequential) {
+  ThreadPool pool(4);
+  std::uint64_t parallel_chunks = 0;
+  for (const bool cliques : {true, false}) {
+    const Graph g = cliques ? MakePlantedCliques() : MakeKeywordSparse(4);
+    const BuiltIndex built = BuildIndexFor(g);
+    const std::vector<KeywordId> keywords =
+        cliques ? std::vector<KeywordId>{0, 1} : std::vector<KeywordId>{0, 1, 2, 3};
+    TopLDetector detector(g, built.pre(), built.tree);
+    DTopLDetector dtopl(g, built.pre(), built.tree);
+    for (std::uint32_t k = 2; k <= 5; ++k) {
+      for (const double theta : {0.0, 0.1, 0.3}) {
+        for (const std::uint32_t top_l : {1u, 3u}) {
+          const Query q = MakeQuery(keywords, k, 2, theta, top_l);
+          Result<TopLResult> sequential = detector.Search(q);
+          ASSERT_TRUE(sequential.ok());
+          Result<DTopLResult> sequential_d = dtopl.Search(q);
+          ASSERT_TRUE(sequential_d.ok());
+          for (const std::size_t chunk : {1u, 8u}) {
+            SearchControl control;
+            control.pool = &pool;
+            control.chunk_size = chunk;
+            const std::string label =
+                Label(q) + " chunk=" + std::to_string(chunk);
+            Result<TopLResult> parallel = detector.Search(q, QueryOptions(), control);
+            ASSERT_TRUE(parallel.ok());
+            ExpectIdentical(parallel->communities, sequential->communities,
+                            label.c_str());
+            EXPECT_LE(parallel->stats.propagations,
+                      parallel->stats.communities_found);
+            parallel_chunks += parallel->stats.parallel_chunks;
+
+            Result<DTopLResult> parallel_d = dtopl.Search(q, DTopLOptions(), control);
+            ASSERT_TRUE(parallel_d.ok());
+            ExpectIdentical(parallel_d->communities, sequential_d->communities,
+                            ("dtopl " + label).c_str());
+            EXPECT_EQ(parallel_d->diversity_score, sequential_d->diversity_score);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(parallel_chunks, 0u);  // the sweep exercised the fan-out
+}
+
+}  // namespace
+}  // namespace topl

@@ -214,6 +214,27 @@ inline std::vector<double> Scores(const std::vector<CommunityResult>& results) {
   return out;
 }
 
+/// Byte-identical equality: same centers, same member lists, same influenced
+/// vertices, bit-identical cpp values and scores, same order.
+inline void ExpectIdentical(const std::vector<CommunityResult>& actual,
+                            const std::vector<CommunityResult>& expected,
+                            const char* label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].community.center, expected[i].community.center)
+        << label << " rank " << i;
+    EXPECT_EQ(actual[i].community.vertices, expected[i].community.vertices)
+        << label << " rank " << i;
+    EXPECT_EQ(actual[i].community.edges, expected[i].community.edges)
+        << label << " rank " << i;
+    EXPECT_EQ(actual[i].influence.vertices, expected[i].influence.vertices)
+        << label << " rank " << i;
+    EXPECT_EQ(actual[i].influence.cpp, expected[i].influence.cpp)
+        << label << " rank " << i;
+    EXPECT_EQ(actual[i].score(), expected[i].score()) << label << " rank " << i;
+  }
+}
+
 /// Builds precompute + tree index with the given options; aborts on failure.
 /// PrecomputedData sits behind a unique_ptr so the TreeIndex's back-pointer
 /// stays valid when BuiltIndex moves.
