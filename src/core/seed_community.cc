@@ -18,6 +18,23 @@ namespace {
 // naive incremental deletion would be slower than the reference path.
 constexpr std::size_t kBulkRecomputeDivisor = 4;
 
+// Center-degree precheck: an edge (center, u) of a k-truss closes ≥ k−2
+// triangles, each through another neighbour of the center, so a community
+// needs ≥ k−1 keyword-carrying neighbours of the center (one for k = 2).
+// Most candidates fail this, and failing it costs no ball. Only kIncremental
+// runs it; the reference path keeps the full pipeline so brute force checks
+// the shortcut.
+template <typename Keep>
+bool CenterDegreeAdmits(const Graph& g, VertexId center, std::uint32_t k,
+                        Keep keep) {
+  const std::uint32_t needed = std::max<std::uint32_t>(k, 2) - 1;
+  std::uint32_t eligible = 0;
+  for (const Graph::Arc& arc : g.Neighbors(center)) {
+    if (keep(arc.to) && ++eligible >= needed) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 SeedCommunityExtractor::SeedCommunityExtractor(const Graph& g)
@@ -64,7 +81,8 @@ bool SeedCommunityExtractor::CollectOutOfRadius(const LocalGraph& ball,
 }
 
 bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
-                                     Mode mode, SeedCommunity* out) {
+                                     Mode mode, SeedCommunity* out,
+                                     const KeywordMatch* match) {
   out->center = center;
   out->vertices.clear();
   out->edges.clear();
@@ -72,31 +90,28 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   last_triangles_inspected_ = 0;
   last_support_recomputes_avoided_ = 0;
 
-  // Center-degree precheck: an edge (center, u) of a k-truss closes ≥ k−2
-  // triangles, each through another neighbour of the center, so a community
-  // needs ≥ k−1 keyword-carrying neighbours of the center (one for k = 2).
-  // Most candidates fail this, and failing it costs no ball. The reference
-  // path keeps the full pipeline so brute force checks the shortcut.
-  if (mode == Mode::kIncremental) {
-    const std::uint32_t needed = std::max<std::uint32_t>(query.k, 2) - 1;
-    std::uint32_t eligible = 0;
-    const bool filtered = !query.keywords.empty();  // as in HopExtractor
-    for (const Graph::Arc& arc : graph_->Neighbors(center)) {
-      if ((!filtered ||
-           HopExtractor::HasAnyKeyword(*graph_, arc.to, query.keywords)) &&
-          ++eligible >= needed) {
-        break;
-      }
-    }
-    if (eligible < needed) return false;
+  if (mode == Mode::kReference) match = nullptr;
+  TOPL_DCHECK(match == nullptr || !query.keywords.empty(),
+              "KeywordMatch needs query keywords");
+  const bool filtered = !query.keywords.empty();  // as in HopExtractor
+  if (mode == Mode::kIncremental &&
+      !(match != nullptr
+            ? CenterDegreeAdmits(*graph_, center, query.k,
+                                 [&](VertexId v) { return match->Contains(v); })
+            : CenterDegreeAdmits(*graph_, center, query.k, [&](VertexId v) {
+                return !filtered ||
+                       HopExtractor::HasAnyKeyword(*graph_, v, query.keywords);
+              }))) {
+    return false;
   }
-
   // Step 1: keyword-filtered r-hop BFS. Vertices beyond r hops in the
   // keyword-satisfying subgraph can only be further away in any community
   // (a subgraph), so dropping them is exact, not heuristic.
-  if (!hop_.Extract(center, query.radius, query.keywords, &lg_)) {
-    return false;
-  }
+  const bool has_ball =
+      match != nullptr
+          ? hop_.ExtractMatching(center, query.radius, *match, &lg_)
+          : hop_.Extract(center, query.radius, query.keywords, &lg_);
+  if (!has_ball) return false;
   return Verify(lg_, query, mode, out);
 }
 

@@ -78,8 +78,14 @@ class SeedCommunityExtractor {
   /// rejects a center with fewer than k−1 keyword-carrying neighbours before
   /// building its ball (no k-truss edge can pass through it); kReference
   /// always runs the full pipeline.
+  ///
+  /// `match`, if given, must be filled from query.keywords (non-empty).
+  /// kIncremental then tests keywords in the precheck and the ball's BFS by
+  /// one bit per vertex instead of merging keyword lists, with the same
+  /// answer. The detector's hot path passes it. kReference ignores it and
+  /// keeps the keyword-list test, so brute force checks the bitmap too.
   bool Extract(VertexId center, const Query& query, Mode mode,
-               SeedCommunity* out);
+               SeedCommunity* out, const KeywordMatch* match = nullptr);
 
   /// Verification only: runs the k-truss + connectivity + radius fixpoint
   /// over a caller-materialized ball (hop(center, query.radius) extracted

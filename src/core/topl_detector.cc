@@ -93,7 +93,7 @@ class PlanCursor {
  public:
   PlanCursor(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree,
              const Query& query, const QueryOptions& options, int z,
-             const BitVector& query_bv)
+             const BitVector& query_bv, KeywordMatch* match)
       : graph_(&g),
         pre_(&pre),
         tree_(&tree),
@@ -102,7 +102,8 @@ class PlanCursor {
         z_(z),
         score_pruning_(options.use_score_pruning && z >= 0),
         required_support_(query.k >= 2 ? query.k - 2 : 0),
-        query_bv_(&query_bv) {
+        query_bv_(&query_bv),
+        match_(match) {
     heap_.emplace(NodeKey(tree.root()), tree.root());
   }
 
@@ -142,13 +143,18 @@ class PlanCursor {
       ++stats->index_nodes_visited;
 
       if (node.is_leaf) {
+        if (!match_filled_) {
+          match_->Fill(*graph_, query_->keywords);
+          match_filled_ = true;
+        }
         for (VertexId v : tree_->LeafVertices(node)) {
           // Candidate-level pruning (Lemmas 1, 2, 4) on hop(v, r).
           if (options_->use_keyword_pruning &&
-              (!pre_->SignatureIntersects(v, r, *query_bv_) ||
-               !HopExtractor::HasAnyKeyword(*graph_, v, query_->keywords))) {
-            // Either no vertex of hop(v, r) can hold a query keyword, or the
-            // center itself does not (and the center is in every g).
+              (!match_->Contains(v) ||
+               !pre_->SignatureIntersects(v, r, *query_bv_))) {
+            // Either the center holds no query keyword (and the center is in
+            // every g), or no vertex of hop(v, r) can. The one-bit center
+            // test goes first; both land in the same counter.
             ++stats->pruned_keyword;
             continue;
           }
@@ -212,6 +218,12 @@ class PlanCursor {
   const bool score_pruning_;
   const std::uint32_t required_support_;
   const BitVector* query_bv_;
+  // The query's keyword bitmap, which every later keyword test of the query
+  // reads (leaf filter, precheck, ball BFS). Filled lazily at the first leaf,
+  // so queries pruned above the leaves never pay the O(n) fill. Every refined
+  // candidate comes from a leaf, so extraction always sees it filled.
+  KeywordMatch* match_;
+  bool match_filled_ = false;
 
   // Max-heap over index entries, keyed by the aggregated score bound.
   using HeapEntry = std::pair<double, std::uint32_t>;  // (key, node id)
@@ -274,7 +286,7 @@ struct ChunkOutput {
 // the center-degree precheck rejects costs less than a line bouncing between
 // cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
-                 SeedCommunityExtractor::Mode mode,
+                 SeedCommunityExtractor::Mode mode, const KeywordMatch& match,
                  SeedCommunityExtractor& extractor, PropagationEngine& engine,
                  const ScoreMemo& query_memo, ScoreMemo* worker_memo,
                  const CancelToken& cancel, const DeadlineClock& deadline,
@@ -287,7 +299,8 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
   for (VertexId v : candidates) {
     ++out.refined;
     CommunityResult candidate;
-    const bool found = extractor.Extract(v, query, mode, &candidate.community);
+    const bool found =
+        extractor.Extract(v, query, mode, &candidate.community, &match);
     out.triangles_inspected += extractor.last_triangles_inspected();
     out.support_recomputes_avoided += extractor.last_support_recomputes_avoided();
     if (!found) continue;
@@ -346,7 +359,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       BitVector::FromKeywords(query.keywords, pre_->signature_bits());
 
   TopLCollector collector(query.top_l);
-  PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv);
+  PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv,
+                  &keyword_match_);
   const SeedCommunityExtractor::Mode extraction_mode =
       options.use_reference_extraction ? SeedCommunityExtractor::Mode::kReference
                                        : SeedCommunityExtractor::Mode::kIncremental;
@@ -456,8 +470,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
         }
         ++stats.candidates_refined;
         CommunityResult candidate;
-        const bool found =
-            extractor_.Extract(v, query, extraction_mode, &candidate.community);
+        const bool found = extractor_.Extract(
+            v, query, extraction_mode, &candidate.community, &keyword_match_);
         stats.triangles_inspected += extractor_.last_triangles_inspected();
         stats.support_recomputes_avoided +=
             extractor_.last_support_recomputes_avoided();
@@ -490,8 +504,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, *extractor, *engine, memo, &worker_memo,
-                      control.cancel, deadline, &outputs[c]);
+                      extraction_mode, keyword_match_, *extractor, *engine,
+                      memo, &worker_memo, control.cancel, deadline,
+                      &outputs[c]);
         }
       };
       // No more tasks than hardware threads: on an oversubscribed pool a

@@ -10,6 +10,7 @@
 #include "core/search_control.h"
 #include "core/seed_community.h"
 #include "graph/graph.h"
+#include "graph/local_subgraph.h"
 #include "index/precompute.h"
 #include "index/tree_index.h"
 #include "influence/propagation.h"
@@ -79,6 +80,10 @@ class TopLDetector {
   const TreeIndex* tree_;
   SeedCommunityExtractor extractor_;  // sequential-path scratch
   PropagationEngine engine_;
+  // The running query's keyword predicate per vertex (n/64 words), refilled
+  // by each query's plan stage before any candidate is refined; parallel
+  // scoring workers only read it.
+  KeywordMatch keyword_match_;
 
   // Per-worker scratch for the parallel scoring stage, grown lazily to the
   // peak number of concurrent scoring workers and reused across waves and

@@ -43,6 +43,12 @@ void GraphBuilder::AddKeyword(VertexId u, KeywordId w) {
         "keyword vertex out of range: " + std::to_string(u));
     return;
   }
+  if (w > kMaxKeywordId) {
+    deferred_error_ = Status::InvalidArgument(
+        "keyword id " + std::to_string(w) + " out of range (largest is " +
+        std::to_string(kMaxKeywordId) + ")");
+    return;
+  }
   keyword_pairs_.emplace_back(u, w);
 }
 

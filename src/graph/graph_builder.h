@@ -36,15 +36,16 @@ class GraphBuilder {
   /// Convenience: symmetric probability p(u→v) = p(v→u) = prob.
   void AddEdge(VertexId u, VertexId v, double prob) { AddEdge(u, v, prob, prob); }
 
-  /// Adds keyword w to u.W. Duplicate (u, w) pairs are deduplicated at Build.
+  /// Adds keyword w to u.W. Duplicate (u, w) pairs are deduplicated at Build;
+  /// w above kMaxKeywordId fails Build with InvalidArgument.
   void AddKeyword(VertexId u, KeywordId w);
 
   std::size_t num_vertices() const { return num_vertices_; }
   std::size_t num_pending_edges() const { return edges_.size(); }
 
   /// Validates and assembles the graph. Consumes the builder. Fails with
-  /// InvalidArgument on out-of-range endpoints / probabilities, and
-  /// Corruption on self-loops or duplicate edges.
+  /// InvalidArgument on out-of-range endpoints / probabilities / keyword ids,
+  /// and Corruption on self-loops or duplicate edges.
   Result<Graph> Build() &&;
 
  private:

@@ -187,6 +187,10 @@ Result<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta) {
       return Status::InvalidArgument("delta adds keyword to out-of-range vertex " +
                                      std::to_string(c.v));
     }
+    if (c.w > kMaxKeywordId) {
+      return Status::InvalidArgument("delta adds out-of-range keyword id " +
+                                     std::to_string(c.w));
+    }
     const std::uint64_t key = VertexKeywordKey(c.v, c.w);
     if (base.HasKeyword(c.v, c.w) && kw_removed.count(key) == 0) {
       return Status::InvalidArgument(

@@ -30,8 +30,8 @@ namespace topl {
 ///  - keyword_adds of an already-present (v, w) pair and keyword_removes of
 ///    an absent pair are InvalidArgument — a delta states facts about the
 ///    transition, not the end state, so a no-op entry signals a stale client.
-///  - endpoint/probability validation matches GraphBuilder (no self-loops,
-///    probabilities in (0, 1]).
+///  - endpoint/probability/keyword-id validation matches GraphBuilder (no
+///    self-loops, probabilities in (0, 1], keyword ids up to kMaxKeywordId).
 struct GraphDelta {
   /// Undirected edge insertion with the two directional activation
   /// probabilities (prob_uv = p(u→v), prob_vu = p(v→u)).

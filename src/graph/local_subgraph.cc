@@ -42,15 +42,69 @@ bool HopExtractor::HasAnyKeyword(const Graph& g, VertexId v,
   return false;
 }
 
+void KeywordMatch::Fill(const Graph& g, std::span<const KeywordId> query) {
+  // query_mask_ holds the query keywords below its size; the rest, if any,
+  // are the sorted tail `beyond`. The size follows the query, never the
+  // graph's keyword ids, so a stored id of any value is safe to test.
+  const std::uint64_t mask_bits =
+      query.empty() ? 0
+                    : std::min<std::uint64_t>(kMaxMaskBits,
+                                              std::uint64_t{query.back()} + 1);
+  query_mask_.assign((mask_bits + 63) / 64, 0);
+  const std::size_t mask_words = query_mask_.size();
+  std::size_t in_mask = 0;
+  for (; in_mask < query.size() && (query[in_mask] >> 6) < mask_words; ++in_mask) {
+    query_mask_[query[in_mask] >> 6] |= std::uint64_t{1} << (query[in_mask] & 63);
+  }
+  const std::span<const KeywordId> beyond = query.subspan(in_mask);
+
+  // One sequential pass over the keyword CSR, one output word at a time.
+  // |v.W| is small, so OR-ing every keyword's bit beats an early exit.
+  const std::size_t n = g.NumVertices();
+  words_.resize((n + 63) / 64);
+  for (std::size_t word = 0; word < words_.size(); ++word) {
+    const std::size_t first = word * 64;
+    const std::size_t last = std::min(n, first + 64);
+    std::uint64_t bits = 0;
+    for (std::size_t v = first; v < last; ++v) {
+      std::uint64_t hit = 0;
+      for (const KeywordId w : g.Keywords(static_cast<VertexId>(v))) {
+        if ((w >> 6) < mask_words) {
+          hit |= query_mask_[w >> 6] >> (w & 63);
+        } else {
+          hit |= std::binary_search(beyond.begin(), beyond.end(), w) ? 1u : 0u;
+        }
+      }
+      bits |= (hit & 1) << (v - first);
+    }
+    words_[word] = bits;
+  }
+}
+
 bool HopExtractor::Extract(VertexId center, std::uint32_t radius,
                            std::span<const KeywordId> keyword_filter,
                            LocalGraph* out) {
+  const bool filtered = !keyword_filter.empty();
+  return ExtractIf(
+      center, radius,
+      [&](VertexId v) {
+        return !filtered || HasAnyKeyword(*graph_, v, keyword_filter);
+      },
+      out);
+}
+
+bool HopExtractor::ExtractMatching(VertexId center, std::uint32_t radius,
+                                   const KeywordMatch& filter, LocalGraph* out) {
+  return ExtractIf(
+      center, radius, [&](VertexId v) { return filter.Contains(v); }, out);
+}
+
+template <typename Keep>
+bool HopExtractor::ExtractIf(VertexId center, std::uint32_t radius, Keep keep,
+                             LocalGraph* out) {
   TOPL_CHECK(center < graph_->NumVertices(), "HopExtractor: center out of range");
   out->Clear();
-  const bool filtered = !keyword_filter.empty();
-  if (filtered && !HasAnyKeyword(*graph_, center, keyword_filter)) {
-    return false;
-  }
+  if (!keep(center)) return false;
 
   const std::uint32_t epoch = NextEpoch(&epoch_, &stamp_);
   out->center = center;
@@ -68,7 +122,7 @@ bool HopExtractor::Extract(VertexId center, std::uint32_t radius,
     if (du == radius) continue;
     for (const Graph::Arc& arc : graph_->Neighbors(u)) {
       if (stamp_[arc.to] == epoch) continue;
-      if (filtered && !HasAnyKeyword(*graph_, arc.to, keyword_filter)) continue;
+      if (!keep(arc.to)) continue;
       stamp_[arc.to] = epoch;
       local_of_[arc.to] = static_cast<std::uint32_t>(out->global_ids.size());
       out->global_ids.push_back(arc.to);

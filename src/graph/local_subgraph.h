@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -47,6 +48,40 @@ struct LocalGraph {
   void Clear();
 };
 
+/// \brief One query's keyword predicate ("does v.W intersect Q?") for every
+/// vertex, as a bitmap over vertex ids.
+///
+/// The detector's hot path asks this question for the same vertices many
+/// times per query: once per leaf vertex (Lemma 1's center test), once per
+/// neighbour in the center-degree precheck, and once per arc of every
+/// keyword-filtered ball. Filling the bitmap costs one sequential pass over
+/// the graph's keyword CSR, O(n + Σ|v.W|); every test after that is one bit.
+///
+/// Holds reusable storage; refill it for each query. Readers may share a
+/// filled instance across threads.
+class KeywordMatch {
+ public:
+  /// Sets bit v iff HopExtractor::HasAnyKeyword(g, v, query), for every vertex
+  /// of g. `query` is a sorted KeywordId list. Beside the n-bit bitmap, the
+  /// fill's scratch is at most kMaxMaskBits bits, whatever the keyword ids of
+  /// the graph or the query.
+  void Fill(const Graph& g, std::span<const KeywordId> query);
+
+  /// True iff v.W intersects the query the bitmap was last filled for.
+  bool Contains(VertexId v) const {
+    TOPL_DCHECK(v / 64 < words_.size(), "KeywordMatch: vertex not filled");
+    return (words_[v >> 6] >> (v & 63)) & 1u;
+  }
+
+ private:
+  /// Query keywords below this many bits are tested through query_mask_;
+  /// larger ones by binary search. 2^16 bits is 8 KB.
+  static constexpr std::uint64_t kMaxMaskBits = std::uint64_t{1} << 16;
+
+  std::vector<std::uint64_t> words_;       // bit v: v holds a query keyword
+  std::vector<std::uint64_t> query_mask_;  // bit w: w ∈ Q, for small w
+};
+
 /// \brief Extracts hop(center, r) subgraphs, reusing scratch buffers across
 /// calls so that per-query extraction does no O(n) work.
 ///
@@ -60,18 +95,39 @@ class HopExtractor {
   /// `center`. If `keyword_filter` is non-empty, only vertices whose keyword
   /// set intersects it (a sorted KeywordId list) are traversed — this bakes
   /// the paper's keyword constraint (Definition 2, bullet 4) into the BFS.
+  /// A non-empty filter is tested with HasAnyKeyword per vertex. Precompute
+  /// (unfiltered), the reference seed-community pipeline and the baselines
+  /// use this form.
   ///
   /// Returns false (and clears `out`) when the center itself fails the
   /// keyword filter; otherwise fills `out` and returns true.
   bool Extract(VertexId center, std::uint32_t radius,
                std::span<const KeywordId> keyword_filter, LocalGraph* out);
 
-  /// True iff v.W intersects the sorted keyword list `query`.
+  /// Extract with the filter given as the query's filled KeywordMatch: only
+  /// vertices whose bit is set are traversed. For a non-empty query Q,
+  /// ExtractMatching(c, r, match filled from Q, out) produces the same
+  /// LocalGraph as Extract(c, r, Q, out). The detector's incremental
+  /// seed-community path uses this form.
+  bool ExtractMatching(VertexId center, std::uint32_t radius,
+                       const KeywordMatch& filter, LocalGraph* out);
+
+  /// True iff v.W intersects the sorted keyword list `query`, by a merge of
+  /// the two sorted lists. The independent form of the keyword test: the
+  /// reference and brute-force paths, precompute, the result cache's
+  /// invalidation check and the baselines use it, while the detector's hot
+  /// path reads the query's KeywordMatch instead.
   static bool HasAnyKeyword(const Graph& g, VertexId v,
                             std::span<const KeywordId> query);
 
  private:
   friend class EpochWrapTestPeer;
+
+  /// The one BFS body behind Extract and ExtractMatching; `keep(v)` is the
+  /// keyword filter.
+  template <typename Keep>
+  bool ExtractIf(VertexId center, std::uint32_t radius, Keep keep,
+                 LocalGraph* out);
 
   const Graph* graph_;
   // Epoch-stamped global->local map: O(1) membership without O(n) clearing.

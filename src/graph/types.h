@@ -15,6 +15,11 @@ using EdgeId = std::uint32_t;
 /// Keyword identifier assigned by KeywordDictionary; dense in [0, |Σ|).
 using KeywordId = std::uint32_t;
 
+/// Largest valid keyword id: Graph::KeywordDomainBound() is one past the
+/// largest stored id and must itself fit in a KeywordId.
+inline constexpr KeywordId kMaxKeywordId =
+    std::numeric_limits<KeywordId>::max() - 1;
+
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = std::numeric_limits<VertexId>::max();
 

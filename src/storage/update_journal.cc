@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -47,14 +48,16 @@ Status WriteFully(int fd, const void* data, std::size_t size,
   return Status::OK();
 }
 
+// resize + memcpy rather than a range insert: GCC 12 mis-sizes the inlined
+// insert and warns (-Wstringop-overflow) in optimized builds.
 void PutU32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
+  const std::size_t at = out->size();
+  out->resize(at + sizeof(v));
+  std::memcpy(out->data() + at, &v, sizeof(v));
 }
 
 void PutF32(std::vector<std::uint8_t>* out, float v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
+  PutU32(out, std::bit_cast<std::uint32_t>(v));
 }
 
 // Bounds-checked little-endian cursor over an untrusted payload.

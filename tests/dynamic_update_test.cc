@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -379,6 +381,93 @@ TEST(DynamicUpdateTest, EngineSnapshotIsolationAndStats) {
   ASSERT_TRUE(still.ok());
   ExpectSameCommunities(still->communities, expected->communities,
                         "engine-after-failed-update");
+}
+
+// Keyword ids at the top of the 32-bit range. The delta text format accepts
+// any 32-bit id, but 4294967295 is one past kMaxKeywordId (the keyword
+// domain bound would wrap to 0), so the update fails and the engine keeps
+// serving. Ids just below it apply, and queries over them answer like a
+// rebuilt engine and like brute force.
+TEST(DynamicUpdateTest, LargestKeywordIdsThroughDeltaAndQuery) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("topl_dynupd_kw_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto read_delta = [&](const std::string& name, const std::string& text) {
+    const std::string path = (dir / name).string();
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    Result<GraphDelta> delta = ReadGraphDeltaText(path);
+    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+    return std::move(delta).value();
+  };
+
+  EngineOptions engine_options;
+  engine_options.precompute = SweepPrecomputeOptions();
+  engine_options.num_threads = 2;
+  ErdosRenyiOptions gen;
+  gen.num_vertices = 80;
+  gen.edge_prob = 0.08;
+  gen.seed = 11;
+  gen.keywords.domain_size = 12;
+  Result<Graph> graph = MakeErdosRenyi(gen);
+  ASSERT_TRUE(graph.ok());
+  const Graph base = CopyGraph(*graph);
+  Result<std::unique_ptr<Engine>> engine =
+      Engine::FromGraph(std::move(graph).value(), engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  const GraphDelta too_large = read_delta("too_large.txt", "w+ 0 4294967295\n");
+  Result<RebuildScope> failed = (*engine)->ApplyUpdate(too_large);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsInvalidArgument()) << failed.status().ToString();
+  EXPECT_EQ((*engine)->Stats().snapshot_epoch, 0u);
+  EXPECT_EQ((*engine)->Stats().updates_applied, 0u);
+
+  // Every vertex gains 4294967294; every third vertex also gains 2^31.
+  std::string text;
+  for (VertexId v = 0; v < base.NumVertices(); ++v) {
+    text += "w+ " + std::to_string(v) + " 4294967294\n";
+    if (v % 3 == 0) text += "w+ " + std::to_string(v) + " 2147483648\n";
+  }
+  const GraphDelta large = read_delta("large.txt", text);
+  Result<RebuildScope> scope = (*engine)->ApplyUpdate(large);
+  ASSERT_TRUE(scope.ok()) << scope.status().ToString();
+  EXPECT_EQ((*engine)->graph().KeywordDomainBound(), 4294967295u);
+
+  Result<Graph> mutated = ApplyDelta(base, large);
+  ASSERT_TRUE(mutated.ok());
+  const Graph expected_graph = CopyGraph(*mutated);
+  Result<std::unique_ptr<Engine>> rebuilt =
+      Engine::FromGraph(std::move(mutated).value(), engine_options);
+  ASSERT_TRUE(rebuilt.ok());
+  std::size_t found = 0;
+  for (const std::vector<KeywordId>& keywords :
+       {std::vector<KeywordId>{4294967294u},
+        std::vector<KeywordId>{2147483648u, 4294967295u},
+        std::vector<KeywordId>{3, 2147483648u}}) {
+    Query q;
+    q.keywords = keywords;
+    q.k = 3;
+    q.radius = 2;
+    q.theta = 0.2;
+    q.top_l = 3;
+    const std::string label = "large-ids |Q|=" + std::to_string(keywords.size()) +
+                              " Q[0]=" + std::to_string(keywords[0]);
+    Result<TopLResult> got = (*engine)->Search(q);
+    Result<TopLResult> want = (*rebuilt)->Search(q);
+    Result<TopLResult> oracle = BruteForceTopL(expected_graph, q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameCommunities(got->communities, want->communities, label);
+    ExpectSameCommunities(got->communities, oracle->communities, label);
+    found += got->communities.size();
+  }
+  EXPECT_GT(found, 0u);
+  fs::remove_all(dir);
 }
 
 // Updates against a mmap-served artifact: the mapped snapshot must be

@@ -99,6 +99,22 @@ TEST(GraphBuilderTest, RejectsOutOfRangeKeywordVertex) {
   EXPECT_TRUE(g.status().IsInvalidArgument());
 }
 
+TEST(GraphBuilderTest, KeywordIdRange) {
+  // The keyword domain bound is one past the largest id and is itself a
+  // KeywordId, so the largest representable id is rejected.
+  GraphBuilder top(2);
+  top.AddKeyword(1, kMaxKeywordId);
+  Result<Graph> g = std::move(top).Build();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->KeywordDomainBound(), kMaxKeywordId + 1);
+
+  GraphBuilder beyond(2);
+  beyond.AddKeyword(1, kMaxKeywordId + 1);
+  Result<Graph> bad = std::move(beyond).Build();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
+}
+
 TEST(GraphBuilderTest, DeduplicatesKeywords) {
   GraphBuilder b(1);
   b.AddKeyword(0, 4);

@@ -1,0 +1,263 @@
+// The per-query keyword bitmap (KeywordMatch) against the keyword-list test
+// it stands in for on the detector's hot path:
+//  - bit v equals HopExtractor::HasAnyKeyword(g, v, Q) for every vertex,
+//    across word boundaries, keyword-less vertices, query keywords beyond
+//    the graph's keyword domain, and keyword ids up to kMaxKeywordId;
+//  - the bitmap-filtered ball BFS builds the same LocalGraph as the
+//    keyword-list-filtered one, for every center and radius;
+//  - a detector reused across queries with disjoint keywords answers like a
+//    fresh detector and like brute force, sequentially and in parallel, so no
+//    bit of an earlier query leaks into a later one.
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "core/brute_force.h"
+#include "core/dtopl_detector.h"
+#include "core/seed_community.h"
+#include "core/topl_detector.h"
+#include "graph/generators.h"
+#include "graph/graph_builder.h"
+#include "graph/local_subgraph.h"
+#include "gtest/gtest.h"
+#include "tests/test_util.h"
+
+namespace topl {
+namespace {
+
+using testing::BuildIndexFor;
+using testing::BuiltIndex;
+using testing::ExpectIdentical;
+
+// A ring of n vertices. Every fifth vertex carries no keyword; the others
+// carry one to three keywords of a 12-keyword domain.
+Graph MakeRing(std::size_t n) {
+  GraphBuilder b(n);
+  for (VertexId v = 0; n > 1 && v < n; ++v) {
+    b.AddEdge(v, static_cast<VertexId>((v + 1) % n), 0.5);
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    if (v % 5 == 0) continue;
+    for (std::uint32_t i = 0; i <= v % 3; ++i) {
+      b.AddKeyword(v, static_cast<KeywordId>((v * 7 + i * 5) % 12));
+    }
+  }
+  Result<Graph> g = std::move(b).Build();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+Graph MakeSmallWorldGraph(std::uint64_t seed, std::uint32_t domain,
+                          std::uint32_t keywords_per_vertex) {
+  SmallWorldOptions gen;
+  gen.num_vertices = 200;
+  gen.ring_neighbors = 10;
+  gen.seed = seed;
+  gen.keywords.domain_size = domain;
+  gen.keywords.keywords_per_vertex = keywords_per_vertex;
+  Result<Graph> g = MakeSmallWorld(gen);
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+Query MakeQuery(std::vector<KeywordId> keywords, std::uint32_t k,
+                std::uint32_t radius, std::uint32_t top_l) {
+  Query q;
+  q.keywords = std::move(keywords);
+  q.k = k;
+  q.radius = radius;
+  q.theta = 0.1;
+  q.top_l = top_l;
+  return q;
+}
+
+void ExpectSameBall(const LocalGraph& got, const LocalGraph& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.center, want.center) << label;
+  EXPECT_EQ(got.global_ids, want.global_ids) << label;
+  EXPECT_EQ(got.dist, want.dist) << label;
+  EXPECT_EQ(got.offsets, want.offsets) << label;
+  ASSERT_EQ(got.arcs.size(), want.arcs.size()) << label;
+  for (std::size_t i = 0; i < got.arcs.size(); ++i) {
+    EXPECT_EQ(got.arcs[i].to, want.arcs[i].to) << label << " arc " << i;
+    EXPECT_EQ(got.arcs[i].local_edge, want.arcs[i].local_edge)
+        << label << " arc " << i;
+  }
+  EXPECT_EQ(got.edge_endpoints, want.edge_endpoints) << label;
+  EXPECT_EQ(got.edge_radius, want.edge_radius) << label;
+  EXPECT_EQ(got.global_edge_ids, want.global_edge_ids) << label;
+}
+
+TEST(KeywordMatchTest, MembershipEqualsHasAnyKeywordForEveryVertex) {
+  // One instance reused across every graph and query: refilling must
+  // overwrite every word, whether the graph grew or shrank.
+  KeywordMatch match;
+  std::uint64_t matched = 0;
+  for (const std::size_t n : {1000u, 1u, 63u, 64u, 65u, 1000u}) {
+    const Graph g = MakeRing(n);
+    const KeywordId domain = g.KeywordDomainBound();
+    const std::vector<std::vector<KeywordId>> queries = {
+        {0},       {1, 3},          {2, 5, 11}, {11},
+        {4, 40},   {domain},        {domain + 1, domain + 100},
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+    };
+    for (const std::vector<KeywordId>& q : queries) {
+      match.Fill(g, q);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        const bool want = HopExtractor::HasAnyKeyword(g, v, q);
+        ASSERT_EQ(match.Contains(v), want)
+            << "n=" << n << " query[0]=" << q[0] << " vertex " << v;
+        matched += want;
+      }
+    }
+  }
+  EXPECT_GT(matched, 0u);
+
+  // A graph without any keyword: the domain is empty and nothing matches.
+  const Graph bare = testing::MakeGraph(65, {{0, 1}, {1, 64}});
+  ASSERT_EQ(bare.KeywordDomainBound(), 0u);
+  match.Fill(bare, std::vector<KeywordId>{0, 3});
+  for (VertexId v = 0; v < bare.NumVertices(); ++v) {
+    EXPECT_FALSE(match.Contains(v)) << "vertex " << v;
+  }
+}
+
+TEST(KeywordMatchTest, MembershipWithKeywordIdsUpToTheLargest) {
+  // Ids on both sides of a mask word boundary, of the 2^16-bit mask limit,
+  // and at the top of the id range. Scratch memory follows the query, not
+  // these ids, and ids past the mask are found by search.
+  const std::vector<KeywordId> ids = {
+      0, 63, 64, 65535, 65536, 65537, KeywordId{1} << 31, kMaxKeywordId};
+  GraphBuilder b(70);
+  for (VertexId v = 0; v + 1 < 70; ++v) b.AddEdge(v, v + 1, 0.5);
+  for (VertexId v = 0; v < 70; ++v) {
+    if (v % 5 == 0) continue;
+    b.AddKeyword(v, ids[v % ids.size()]);
+    b.AddKeyword(v, ids[(v * 3 + 1) % ids.size()]);
+  }
+  Result<Graph> built = std::move(b).Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Graph& g = *built;
+  ASSERT_EQ(g.KeywordDomainBound(), kMaxKeywordId + 1);
+
+  std::vector<std::vector<KeywordId>> queries = {
+      ids,
+      {65535, 65536},
+      {0, kMaxKeywordId},
+      {65536, KeywordId{1} << 31},
+      {kMaxKeywordId + 1},
+      {1, 66000, KeywordId{1} << 30},
+  };
+  for (const KeywordId w : ids) queries.push_back({w});
+  KeywordMatch match;
+  std::uint64_t matched = 0;
+  for (const std::vector<KeywordId>& q : queries) {
+    match.Fill(g, q);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      const bool want = HopExtractor::HasAnyKeyword(g, v, q);
+      ASSERT_EQ(match.Contains(v), want)
+          << "|Q|=" << q.size() << " Q[0]=" << q[0] << " vertex " << v;
+      matched += want;
+    }
+  }
+  EXPECT_GT(matched, 0u);
+}
+
+TEST(KeywordMatchTest, MatchingExtractionEqualsKeywordListExtraction) {
+  const Graph g = MakeSmallWorldGraph(5, 12, 2);
+  HopExtractor by_list(g);
+  HopExtractor by_bitmap(g);
+  SeedCommunityExtractor incremental(g);
+  SeedCommunityExtractor reference(g);
+  KeywordMatch match;
+  std::uint64_t balls = 0;
+  for (const std::vector<KeywordId>& keywords :
+       {std::vector<KeywordId>{0}, std::vector<KeywordId>{1, 4, 7},
+        std::vector<KeywordId>{2, 3, 5, 6, 8, 9, 10, 11}}) {
+    match.Fill(g, keywords);
+    for (std::uint32_t r = 1; r <= 3; ++r) {
+      const Query q = MakeQuery(keywords, 3, r, 1);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        const std::string label = "|Q|=" + std::to_string(keywords.size()) +
+                                  " r=" + std::to_string(r) + " center " +
+                                  std::to_string(v);
+        LocalGraph got;
+        LocalGraph want;
+        const bool got_ok = by_bitmap.ExtractMatching(v, r, match, &got);
+        const bool want_ok = by_list.Extract(v, r, keywords, &want);
+        ASSERT_EQ(got_ok, want_ok) << label;
+        ExpectSameBall(got, want, label);
+        balls += got_ok;
+
+        // The seed community built on the bitmap equals the reference
+        // pipeline's, which tests keyword lists throughout.
+        SeedCommunity got_c;
+        SeedCommunity want_c;
+        const bool got_c_ok = incremental.Extract(
+            v, q, SeedCommunityExtractor::Mode::kIncremental, &got_c, &match);
+        const bool want_c_ok = reference.Extract(
+            v, q, SeedCommunityExtractor::Mode::kReference, &want_c);
+        ASSERT_EQ(got_c_ok, want_c_ok) << label;
+        EXPECT_EQ(got_c.vertices, want_c.vertices) << label;
+        EXPECT_EQ(got_c.edges, want_c.edges) << label;
+      }
+    }
+  }
+  EXPECT_GT(balls, 0u);
+}
+
+TEST(KeywordMatchTest, ReusedDetectorAcrossDisjointQueriesMatchesFresh) {
+  // Q1 and Q2 share no keyword, so a bit left over from the previous query
+  // would admit a wrong center or ball vertex. The keyword beyond the domain
+  // matches nothing, so its query is answered empty — possibly without ever
+  // reaching a leaf, which leaves the bitmap unfilled in between.
+  const Graph g = MakeSmallWorldGraph(3, 8, 1);
+  const BuiltIndex built = BuildIndexFor(g);
+  const std::vector<KeywordId> q1 = {0, 1, 2, 3};
+  const std::vector<KeywordId> q2 = {4, 5, 6, 7};
+  const std::vector<KeywordId> none = {1000};
+  ThreadPool pool(4);
+  std::uint64_t found = 0;
+  for (const std::uint32_t chunk : {0u, 1u, 8u}) {  // 0: sequential
+    SearchControl control;
+    control.pool = chunk == 0 ? nullptr : &pool;
+    control.chunk_size = chunk;
+    TopLDetector reused(g, built.pre(), built.tree);
+    DTopLDetector reused_dtopl(g, built.pre(), built.tree);
+    for (const std::vector<KeywordId>* keywords : {&q1, &q2, &none, &q1, &q2}) {
+      for (std::uint32_t k = 3; k <= 4; ++k) {
+        for (std::uint32_t r = 1; r <= 2; ++r) {
+          const Query q = MakeQuery(*keywords, k, r, 3);
+          const std::string label =
+              "chunk=" + std::to_string(chunk) + " Q[0]=" +
+              std::to_string((*keywords)[0]) + " k=" + std::to_string(k) +
+              " r=" + std::to_string(r);
+          Result<TopLResult> got = reused.Search(q, {}, control);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          TopLDetector fresh(g, built.pre(), built.tree);
+          Result<TopLResult> want = fresh.Search(q, {}, control);
+          ASSERT_TRUE(want.ok());
+          ExpectIdentical(got->communities, want->communities, label.c_str());
+          Result<TopLResult> oracle = BruteForceTopL(g, q);
+          ASSERT_TRUE(oracle.ok());
+          ExpectIdentical(got->communities, oracle->communities, label.c_str());
+          found += got->communities.size();
+
+          Result<DTopLResult> got_d = reused_dtopl.Search(q, {}, control);
+          ASSERT_TRUE(got_d.ok());
+          DTopLDetector fresh_dtopl(g, built.pre(), built.tree);
+          Result<DTopLResult> want_d = fresh_dtopl.Search(q, {}, control);
+          ASSERT_TRUE(want_d.ok());
+          ExpectIdentical(got_d->communities, want_d->communities,
+                          ("dtopl " + label).c_str());
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+}
+
+}  // namespace
+}  // namespace topl

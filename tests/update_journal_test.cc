@@ -82,6 +82,26 @@ TEST_F(UpdateJournalTest, EncodeDecodeRoundtrip) {
   }
 }
 
+TEST_F(UpdateJournalTest, EncodeDeltaGoldenBytes) {
+  // The journal's on-disk payload format, pinned byte for byte: four u32
+  // counts, then each op's fields as little-endian u32/f32, in the order
+  // deletes, inserts, keyword adds, keyword removes.
+  GraphDelta delta;
+  delta.edge_deletes.push_back({1, 2});
+  delta.edge_inserts.push_back({3, 0x01020304u, 0.5f, 0.25f});
+  delta.keyword_adds.push_back({5, 6});
+  delta.keyword_removes.push_back({7, 0xA0B0C0D0u});
+  const std::vector<std::uint8_t> expected = {
+      1, 0, 0, 0,  1, 0, 0, 0,  1, 0, 0, 0,  1, 0, 0, 0,      // counts
+      1, 0, 0, 0,  2, 0, 0, 0,                                // delete {1, 2}
+      3, 0, 0, 0,  4, 3, 2, 1,                                // insert {3, v}
+      0, 0, 0, 0x3F,  0, 0, 0x80, 0x3E,                       // 0.5f, 0.25f
+      5, 0, 0, 0,  6, 0, 0, 0,                                // add (5, 6)
+      7, 0, 0, 0,  0xD0, 0xC0, 0xB0, 0xA0,                    // remove (7, w)
+  };
+  EXPECT_EQ(UpdateJournal::EncodeDelta(delta), expected);
+}
+
 TEST_F(UpdateJournalTest, AppendReopenReplay) {
   const std::string path = Path("wal.jrn");
   const std::vector<GraphDelta> deltas = TestDeltas(5);
