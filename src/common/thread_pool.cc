@@ -1,5 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <exception>
 #include <utility>
@@ -8,9 +11,25 @@
 
 namespace topl {
 
+std::size_t ProcessCpuCount() {
+  // The main thread's mask (pid == its tid), not the caller's: a pinned
+  // client thread must not shrink the count for everyone it sizes.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(getpid(), sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) : num_threads_(num_threads) {
-  if (num_threads_ == 0) {
-    num_threads_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (num_threads_ == 0) num_threads_ = ProcessCpuCount();
+  // Started here rather than on the first Submit, so that they inherit this
+  // thread's CPU mask: a pinned first submitter must not confine the pool.
+  queue_workers_.reserve(num_threads_);
+  for (std::size_t t = 0; t < num_threads_; ++t) {
+    queue_workers_.emplace_back([this] { QueueWorkerLoop(); });
   }
 }
 
@@ -70,16 +89,10 @@ void ThreadPool::ParallelForWithWorker(
 bool ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    // A task queued after shutdown began would never be claimed (workers are
-    // gone or draining) and respawning workers here would race the joins —
-    // reject it instead; Submit turns the rejection into a typed error.
+    // A task queued after shutdown began might never be claimed (workers are
+    // gone or draining), so reject it; Submit turns the rejection into a
+    // typed error.
     if (stopping_) return false;
-    if (queue_workers_.empty()) {
-      queue_workers_.reserve(num_threads_);
-      for (std::size_t t = 0; t < num_threads_; ++t) {
-        queue_workers_.emplace_back([this] { QueueWorkerLoop(); });
-      }
-    }
     queue_.push_back(std::move(task));
     in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -158,8 +171,8 @@ void ThreadPool::TaskGroup::Spawn(std::function<void()> fn) {
     state_->pending.push_back(std::move(fn));
   }
   // Offer the unit of work to the queue workers via a claim token. A
-  // single-threaded pool skips the offer: Wait() will run everything inline,
-  // and not spinning up a queue worker keeps the pool truly one thread.
+  // single-threaded pool skips the offer: Wait() runs everything inline, so
+  // its subtasks never run beside the spawning thread.
   if (pool_->num_threads_ > 1) {
     pool_->Enqueue([state = state_] {
       if (std::function<void()> fn = state->Claim()) state->Run(std::move(fn));

@@ -16,6 +16,12 @@
 
 namespace topl {
 
+/// CPUs in the process's affinity mask (what taskset or a cgroup cpuset
+/// allows), at least 1. Unlike std::thread::hardware_concurrency(), a
+/// restricted process gets its real share, so sizing threads by it does not
+/// oversubscribe.
+std::size_t ProcessCpuCount();
+
 /// \brief Fixed-size worker pool for data-parallel work and async tasks.
 ///
 /// Two independent execution modes share one thread budget:
@@ -25,8 +31,8 @@ namespace topl {
 ///    and by Engine::SearchBatch. Workers are spawned per call and the
 ///    calling thread participates, so nested use cannot deadlock.
 ///
-///  - Submit: enqueues one task on persistent queue workers (started lazily
-///    on first use, joined by the destructor) and returns a std::future for
+///  - Submit: enqueues one task on persistent queue workers (started by the
+///    constructor, joined by the destructor) and returns a std::future for
 ///    its result. This backs Engine::Submit's async query serving. Tasks run
 ///    FIFO and never on the calling thread; a task must not block on another
 ///    task submitted to the same pool, or all queue workers can end up
@@ -38,9 +44,12 @@ namespace topl {
 ///    subtasks itself — so fanning out sub-tasks from a worker cannot
 ///    deadlock even when every queue worker is busy. This is what gives one
 ///    query intra-query parallelism while the same pool serves other queries.
+///
+/// The queue workers start in the constructor, so they run on the CPUs of
+/// the thread that constructed the pool, whichever thread submits first.
 class ThreadPool {
  public:
-  /// \param num_threads worker count; 0 means std::thread::hardware_concurrency().
+  /// \param num_threads worker count; 0 means ProcessCpuCount().
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Drains nothing: queued tasks not yet started are still executed, then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -147,8 +148,9 @@ Result<std::vector<std::size_t>> SelectDiversifiedOptimal(
 }
 
 DTopLDetector::DTopLDetector(const Graph& g, const PrecomputedData& pre,
-                             const TreeIndex& tree)
-    : topl_(g, pre, tree) {}
+                             const TreeIndex& tree,
+                             std::shared_ptr<RefineScratchPool> scratch)
+    : topl_(g, pre, tree, std::move(scratch)) {}
 
 Result<DTopLResult> DTopLDetector::Search(const Query& query,
                                           const DTopLOptions& options) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -86,7 +87,9 @@ struct DTopLResult {
 /// Algorithm 3, then greedy (or exhaustive) diversified selection.
 class DTopLDetector {
  public:
-  DTopLDetector(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree);
+  /// `scratch` as for TopLDetector: nullptr gives it a pool of its own.
+  DTopLDetector(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree,
+                std::shared_ptr<RefineScratchPool> scratch = nullptr);
 
   Result<DTopLResult> Search(const Query& query, const DTopLOptions& options = {});
 

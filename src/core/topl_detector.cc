@@ -6,7 +6,6 @@
 #include <optional>
 #include <queue>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -323,16 +322,13 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
 }  // namespace
 
 TopLDetector::TopLDetector(const Graph& g, const PrecomputedData& pre,
-                           const TreeIndex& tree)
+                           const TreeIndex& tree,
+                           std::shared_ptr<RefineScratchPool> scratch)
     : graph_(&g),
       pre_(&pre),
       tree_(&tree),
-      extractor_(g),
-      engine_(g),
-      extractor_pool_([graph = &g] {
-        return std::make_unique<SeedCommunityExtractor>(*graph);
-      }),
-      engine_pool_(g) {}
+      scratch_(scratch != nullptr ? std::move(scratch)
+                                  : std::make_shared<RefineScratchPool>(g)) {}
 
 Result<TopLResult> TopLDetector::Search(const Query& query,
                                         const QueryOptions& options) {
@@ -352,6 +348,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   Timer timer;
   TopLResult result;
   QueryStats& stats = result.stats;
+  // The calling thread's scratch: every inline refinement and merge-time
+  // propagation, and the chunks it claims on the parallel path.
+  const RefineScratchPool::Lease own(scratch_.get());
 
   // Score bounds are valid only for the largest pre-selected θ_z ≤ θ.
   const int z = pre_->ThresholdIndex(query.theta);
@@ -399,7 +398,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       return false;
     }
     candidate.influence =
-        engine_.Compute(candidate.community.vertices, query.theta);
+        own->engine.Compute(candidate.community.vertices, query.theta);
     ++stats.propagations;
     TOPL_DCHECK(!known || *known == candidate.score(),
                 "memoized influence score differs from its propagation");
@@ -470,11 +469,11 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
         }
         ++stats.candidates_refined;
         CommunityResult candidate;
-        const bool found = extractor_.Extract(
+        const bool found = own->extractor.Extract(
             v, query, extraction_mode, &candidate.community, &keyword_match_);
-        stats.triangles_inspected += extractor_.last_triangles_inspected();
+        stats.triangles_inspected += own->extractor.last_triangles_inspected();
         stats.support_recomputes_avoided +=
-            extractor_.last_support_recomputes_avoided();
+            own->extractor.last_support_recomputes_avoided();
         if (!found) continue;
         ++stats.communities_found;
         const std::optional<double> known = memo.Find(candidate.community.vertices);
@@ -483,40 +482,43 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     } else {
       // Score: fan the wave out over the pool. Chunks are claimed from a
       // shared atomic cursor (fine-grained load balancing at one fetch_add
-      // per chunk) by at most one task per pool worker, so task-spawn cost
-      // and scratch leasing are per worker per wave, not per chunk — the
-      // chunks themselves are only microseconds of work. Each worker owns
-      // share-nothing scratch; results land in per-chunk slots and merge
-      // afterwards in wave order. TaskGroup's help-first join keeps this
-      // legal even when the calling thread is itself a pool worker. Workers
-      // only read the query's memo; the merge extends it after the join.
+      // per chunk) by at most one task per pool worker plus the calling
+      // thread, so task-spawn cost and scratch leasing are per worker per
+      // wave, not per chunk — the chunks themselves are only microseconds of
+      // work. A task leases scratch only once it has claimed a chunk, so one
+      // that starts after the wave is drained takes none. Results land in
+      // per-chunk slots and merge afterwards in wave order. TaskGroup's
+      // help-first join keeps this legal even when the calling thread is
+      // itself a pool worker. Workers only read the query's memo; the merge
+      // extends it after the join.
       const std::size_t num_chunks = (wave.size() + chunk_size - 1) / chunk_size;
       std::vector<ChunkOutput> outputs(num_chunks);
       std::atomic<std::size_t> next_chunk{0};
       const std::span<const VertexId> wave_span(wave);
-      auto score_worker = [&, this] {
-        const LeasePool<SeedCommunityExtractor>::Lease extractor(&extractor_pool_);
-        const PropagationEnginePool::Lease engine(&engine_pool_);
+      auto refine_chunks = [&](RefineScratch* scratch) {
+        std::optional<RefineScratchPool::Lease> leased;
         ScoreMemo worker_memo;
         for (;;) {
           const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
           if (c >= num_chunks) break;
+          if (scratch == nullptr) scratch = &*leased.emplace(scratch_.get());
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, keyword_match_, *extractor, *engine,
-                      memo, &worker_memo, control.cancel, deadline,
-                      &outputs[c]);
+                      extraction_mode, keyword_match_, scratch->extractor,
+                      scratch->engine, memo, &worker_memo, control.cancel,
+                      deadline, &outputs[c]);
         }
       };
-      // No more tasks than hardware threads: on an oversubscribed pool a
+      // No more tasks than the process has CPUs: on an oversubscribed pool a
       // worker preempted mid-chunk stalls the whole wave's join.
-      static const std::size_t kHardwareThreads =
-          std::max(1u, std::thread::hardware_concurrency());
+      static const std::size_t kProcessCpus = ProcessCpuCount();
       const std::size_t num_workers =
-          std::min({control.pool->num_threads(), num_chunks, kHardwareThreads});
+          std::min({control.pool->num_threads(), num_chunks, kProcessCpus});
       ThreadPool::TaskGroup group(control.pool);
-      for (std::size_t w = 0; w < num_workers; ++w) group.Spawn(score_worker);
+      for (std::size_t w = 0; w < num_workers; ++w) {
+        group.Spawn([&] { refine_chunks(nullptr); });
+      }
       // Plan the next wave meanwhile. Its threshold predates this wave's
       // merge, so it may keep candidates the merged threshold would prune:
       // more refinement at worst, never a different answer.
@@ -527,6 +529,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
                     &next_wave, &stats);
         next_planned = true;
       }
+      refine_chunks(&*own);
       group.Wait();
       stats.parallel_chunks += num_chunks;
       for (ChunkOutput& out : outputs) {

@@ -1,6 +1,7 @@
 #ifndef TOPL_CORE_TOPL_DETECTOR_H_
 #define TOPL_CORE_TOPL_DETECTOR_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/lease_pool.h"
@@ -17,6 +18,29 @@
 
 namespace topl {
 
+/// One refining thread's scratch: seed-community extraction plus
+/// propagation, each O(n) over one graph and single-threaded.
+struct RefineScratch {
+  explicit RefineScratch(const Graph& g) : extractor(g), engine(g) {}
+
+  SeedCommunityExtractor extractor;
+  PropagationEngine engine;
+};
+
+/// \brief RefineScratch for every thread refining candidates over one graph.
+///
+/// Grows lazily to the peak number of threads refining at once and recycles
+/// instances across waves, queries and detectors, so detectors that share
+/// one pool hold scratch in proportion to the threads refining, not to the
+/// number of detectors. The scores do not depend on which instance ran a
+/// propagation, so chunked evaluation is bit-identical to sequential.
+class RefineScratchPool : public LeasePool<RefineScratch> {
+ public:
+  explicit RefineScratchPool(const Graph& g)
+      : LeasePool<RefineScratch>(
+            [graph = &g] { return std::make_unique<RefineScratch>(*graph); }) {}
+};
+
 /// \brief Online TopL-ICDE processing (Algorithm 3) as a staged
 /// plan → score → merge pipeline.
 ///
@@ -27,11 +51,11 @@ namespace topl {
 ///    cursor that yields *waves* of surviving candidate centers.
 ///  - Score: each wave's candidates are refined — maximal seed community
 ///    extraction plus exact MIA propagation — either inline (sequential) or
-///    fanned out in chunks over a ThreadPool (SearchControl::pool), with
-///    share-nothing per-chunk scratch. While the pool scores a wave, the
-///    calling thread plans the next one. A per-query memo of σ(g) by seed
-///    set means a community reached from several centers is propagated
-///    once, and again only if its known σ still enters the top-L.
+///    fanned out in chunks over a ThreadPool (SearchControl::pool). While the
+///    pool scores a wave, the calling thread plans the next one, then claims
+///    chunks of the wave itself. A per-query memo of σ(g) by seed set means
+///    a community reached from several centers is propagated once, and again
+///    only if its known σ still enters the top-L.
 ///  - Merge: refined communities fold into a bounded top-L collector ordered
 ///    by the canonical total order (σ desc, center asc), whose L-th entry
 ///    drives the score pruning / early-termination threshold of later waves.
@@ -47,15 +71,18 @@ namespace topl {
 /// and progressive streaming of intermediate answers (anytime search); see
 /// core/search_control.h.
 ///
-/// The detector reuses extraction/propagation scratch across calls; use one
-/// detector per thread, or serve through topl::Engine (engine/engine.h),
-/// which leases one pooled detector per in-flight query. (Intra-query chunk
-/// scratch is pooled separately, so one Search may use a ThreadPool even
-/// though the detector itself is leased to a single query.) The referenced
-/// graph/index must outlive it.
+/// Refinement scratch comes from a RefineScratchPool: the calling thread
+/// leases one RefineScratch per query, and a pool task leases one only once
+/// it has claimed a chunk. A detector still serves one query at a time (it
+/// keeps the query's keyword bitmap); use one detector per thread, or serve
+/// through topl::Engine (engine/engine.h), which leases one detector per
+/// in-flight query and lets every detector over one snapshot share a
+/// RefineScratchPool. The referenced graph/index must outlive it.
 class TopLDetector {
  public:
-  TopLDetector(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree);
+  /// `scratch` must be over `g`; nullptr gives the detector a pool of its own.
+  TopLDetector(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree,
+               std::shared_ptr<RefineScratchPool> scratch = nullptr);
 
   /// Answers one query sequentially to completion. Fails with
   /// InvalidArgument when the query is malformed or asks for a radius beyond
@@ -70,27 +97,19 @@ class TopLDetector {
   Result<TopLResult> Search(const Query& query, const QueryOptions& options,
                             const SearchControl& control);
 
-  /// Per-worker refinement scratch created so far (== peak scoring-worker
-  /// concurrency of any single parallel query); exposed for tests.
-  std::size_t pooled_scratch() const { return extractor_pool_.size(); }
+  /// Refinement scratch created so far in this detector's pool (== peak
+  /// number of threads refining at once); exposed for tests.
+  std::size_t pooled_scratch() const { return scratch_->size(); }
 
  private:
   const Graph* graph_;
   const PrecomputedData* pre_;
   const TreeIndex* tree_;
-  SeedCommunityExtractor extractor_;  // sequential-path scratch
-  PropagationEngine engine_;
+  std::shared_ptr<RefineScratchPool> scratch_;
   // The running query's keyword predicate per vertex (n/64 words), refilled
   // by each query's plan stage before any candidate is refined; parallel
   // scoring workers only read it.
   KeywordMatch keyword_match_;
-
-  // Per-worker scratch for the parallel scoring stage, grown lazily to the
-  // peak number of concurrent scoring workers and reused across waves and
-  // queries: share-nothing extraction scratch here, the propagation side
-  // from the influence layer's own pool (reentrant chunkable evaluation).
-  LeasePool<SeedCommunityExtractor> extractor_pool_;
-  PropagationEnginePool engine_pool_;
 };
 
 }  // namespace topl

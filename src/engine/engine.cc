@@ -23,6 +23,7 @@ Engine::Engine(std::shared_ptr<const Graph> graph,
   snapshot->graph = std::move(graph);
   snapshot->pre = std::move(pre);
   snapshot->tree = std::move(tree);
+  snapshot->scratch = std::make_shared<RefineScratchPool>(*snapshot->graph);
   snapshot_ = std::move(snapshot);
   if (options.enable_result_cache) {
     QueryCache::Config config;
@@ -337,6 +338,8 @@ std::size_t Engine::pooled_contexts() const {
   return contexts_.size();
 }
 
+std::size_t Engine::pooled_scratch() const { return snapshot()->scratch->size(); }
+
 Result<TopLResult> Engine::SearchOnContext(WorkerContext* context,
                                            QueryKind kind, const Query& query,
                                            const QueryOptions& options,
@@ -355,7 +358,8 @@ Result<DTopLResult> Engine::SearchDiversifiedOnContext(
     const DTopLOptions& options, const SearchControl& control) {
   if (!context->dtopl.has_value()) {
     const EngineSnapshot& snapshot = *context->snapshot;
-    context->dtopl.emplace(*snapshot.graph, *snapshot.pre, *snapshot.tree);
+    context->dtopl.emplace(*snapshot.graph, *snapshot.pre, *snapshot.tree,
+                           snapshot.scratch);
   }
   Timer timer;
   Result<DTopLResult> result = context->dtopl->Search(query, options, control);
@@ -379,11 +383,19 @@ SearchControl Engine::MakeControl(const ProgressiveOptions& options,
   return control;
 }
 
+SearchControl Engine::FanOutControl() {
+  SearchControl control;
+  if (pool_.num_threads() > 1) control.pool = &pool_;
+  control.chunk_size = ProgressiveOptions{}.chunk_size;
+  return control;
+}
+
 Result<TopLResult> Engine::CachedSearch(QueryKind kind, const Query& query,
                                         const QueryOptions& options,
-                                        WorkerContext* context) {
+                                        WorkerContext* context,
+                                        const SearchControl& control) {
   auto execute = [&](WorkerContext* ctx) {
-    return SearchOnContext(ctx, kind, query, options);
+    return SearchOnContext(ctx, kind, query, options, control);
   };
   auto run = [&](auto&& body) -> Result<TopLResult> {
     if (context != nullptr) return body(context);
@@ -422,9 +434,10 @@ Result<TopLResult> Engine::CachedSearch(QueryKind kind, const Query& query,
 Result<DTopLResult> Engine::CachedSearchDiversified(QueryKind kind,
                                                     const Query& query,
                                                     const DTopLOptions& options,
-                                                    WorkerContext* context) {
+                                                    WorkerContext* context,
+                                                    const SearchControl& control) {
   auto execute = [&](WorkerContext* ctx) {
-    return SearchDiversifiedOnContext(ctx, kind, query, options);
+    return SearchDiversifiedOnContext(ctx, kind, query, options, control);
   };
   auto run = [&](auto&& body) -> Result<DTopLResult> {
     if (context != nullptr) return body(context);
@@ -471,17 +484,30 @@ Status Engine::ShedStatus() const {
 }
 
 Result<TopLResult> Engine::Search(const Query& query, const QueryOptions& options) {
+  return AdmitSearch(query, options, FanOutControl());
+}
+
+Result<DTopLResult> Engine::SearchDiversified(const Query& query,
+                                              const DTopLOptions& options) {
+  return AdmitSearchDiversified(query, options, FanOutControl());
+}
+
+Result<TopLResult> Engine::AdmitSearch(const Query& query,
+                                       const QueryOptions& options,
+                                       const SearchControl& control) {
   AdmissionGuard admit(this);
   if (admit.result() == Admission::kShutdown) return ShutdownStatus();
   if (admit.result() == Admission::kShed) {
     shed_queries_.fetch_add(1, std::memory_order_relaxed);
     return ShedStatus();
   }
-  return CachedSearch(QueryKind::kSearch, query, options, /*context=*/nullptr);
+  return CachedSearch(QueryKind::kSearch, query, options, /*context=*/nullptr,
+                      control);
 }
 
-Result<DTopLResult> Engine::SearchDiversified(const Query& query,
-                                              const DTopLOptions& options) {
+Result<DTopLResult> Engine::AdmitSearchDiversified(const Query& query,
+                                                   const DTopLOptions& options,
+                                                   const SearchControl& control) {
   AdmissionGuard admit(this);
   if (admit.result() == Admission::kShutdown) return ShutdownStatus();
   if (admit.result() == Admission::kShed) {
@@ -489,7 +515,7 @@ Result<DTopLResult> Engine::SearchDiversified(const Query& query,
     return ShedStatus();
   }
   return CachedSearchDiversified(QueryKind::kDiversified, query, options,
-                                 /*context=*/nullptr);
+                                 /*context=*/nullptr, control);
 }
 
 Result<TopLResult> Engine::DegradedSearch(const Query& query,
@@ -603,8 +629,8 @@ std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queri
       [&](std::size_t worker, std::size_t i) {
         WorkerContext*& context = leased[worker];
         if (context == nullptr) context = AcquireContext();
-        results[i] =
-            CachedSearch(QueryKind::kBatch, queries[i], options, context);
+        results[i] = CachedSearch(QueryKind::kBatch, queries[i], options,
+                                  context, SearchControl{});
       },
       /*grain=*/1);
   for (WorkerContext* context : leased) {
@@ -623,7 +649,7 @@ std::future<Result<TopLResult>> Engine::Submit(Query query, QueryOptions options
     return promise.get_future();
   }
   return pool_.Submit([this, query = std::move(query), options]() {
-    return Search(query, options);
+    return AdmitSearch(query, options, SearchControl{});
   });
 }
 
@@ -635,7 +661,7 @@ std::future<Result<DTopLResult>> Engine::SubmitDiversified(Query query,
     return promise.get_future();
   }
   return pool_.Submit([this, query = std::move(query), options]() {
-    return SearchDiversified(query, options);
+    return AdmitSearchDiversified(query, options, SearchControl{});
   });
 }
 
@@ -677,6 +703,7 @@ Result<RebuildScope> Engine::InstallUpdateLocked(
   next->graph = std::make_shared<const Graph>(std::move(updated.graph));
   next->pre = std::shared_ptr<const PrecomputedData>(std::move(updated.pre));
   next->tree = std::make_shared<const TreeIndex>(std::move(updated.tree));
+  next->scratch = std::make_shared<RefineScratchPool>(*next->graph);
   next->epoch = base->epoch + 1;
   const std::shared_ptr<const EngineSnapshot> installed = next;
 

@@ -52,6 +52,10 @@ struct EngineSnapshot {
   std::shared_ptr<const Graph> graph;
   std::shared_ptr<const PrecomputedData> pre;
   std::shared_ptr<const TreeIndex> tree;
+  /// Refinement scratch sized to `graph`, shared by every detector serving
+  /// this snapshot. The one member that changes after construction: it is
+  /// internally synchronized working memory, not serving state.
+  std::shared_ptr<RefineScratchPool> scratch;
   /// Monotone update counter: 0 for the open-time snapshot, +1 per applied
   /// delta.
   std::uint64_t epoch = 0;
@@ -59,20 +63,27 @@ struct EngineSnapshot {
 
 /// \brief Thread-safe service facade over the TopL/DTopL online phase.
 ///
-/// The detectors themselves are single-threaded by design (they reuse O(n)
-/// extraction/propagation scratch across calls); an Engine owns the shared
+/// A detector serves one query at a time; an Engine owns the shared
 /// read-only state — graph, precomputed data, tree index — plus a lazily
-/// grown pool of per-worker detector contexts, and multiplexes any number of
-/// concurrent callers over them:
+/// grown pool of per-worker detector contexts and, per snapshot, one pool of
+/// O(n) refinement scratch that all of them lease from, and multiplexes any
+/// number of concurrent callers over them:
 ///
 ///  - Search / SearchDiversified: synchronous, callable from any thread.
-///  - SearchBatch: fans a whole batch out across the engine's ThreadPool.
-///  - Submit / SubmitDiversified: async; the query runs on a pool worker and
-///    the caller gets a std::future.
+///    The query's refinement fans out over the engine's ThreadPool: the
+///    calling thread plans each next wave and refines beside the pool.
+///  - SearchBatch: fans a whole batch out across the engine's ThreadPool,
+///    one thread per query.
+///  - Submit / SubmitDiversified: async; the query runs on one pool worker
+///    and the caller gets a std::future.
 ///  - SearchProgressive / SearchDiversifiedProgressive: anytime queries —
-///    intra-query parallel scoring over the same pool, streamed
-///    intermediate answers with an upper-bound gap, per-query deadlines,
-///    and cooperative cancellation (core/search_control.h).
+///    intra-query parallel scoring over the same pool (unless
+///    ProgressiveOptions::parallel is off), streamed intermediate answers
+///    with an upper-bound gap, per-query deadlines, and cooperative
+///    cancellation (core/search_control.h).
+///
+/// A one-thread pool makes every entry point sequential. Fan-out never
+/// changes an answer, only which thread computes each part of it.
 ///
 /// Every query's QueryStats and latency are folded into cumulative
 /// EngineStats through mutex-free per-context accumulators, with latency
@@ -139,10 +150,11 @@ class Engine {
   /// task. The destructor implies Shutdown.
   void Shutdown();
 
-  /// Answers one TopL-ICDE query. Thread-safe.
+  /// Answers one TopL-ICDE query, refining its candidates over the engine's
+  /// pool. Thread-safe.
   Result<TopLResult> Search(const Query& query, const QueryOptions& options = {});
 
-  /// Answers one DTopL-ICDE query. Thread-safe.
+  /// Answers one DTopL-ICDE query; fans out like Search. Thread-safe.
   Result<DTopLResult> SearchDiversified(const Query& query,
                                         const DTopLOptions& options = {});
 
@@ -173,7 +185,9 @@ class Engine {
   std::vector<Result<TopLResult>> SearchBatch(std::span<const Query> queries,
                                               const QueryOptions& options = {});
 
-  /// Enqueues the query on the engine's async workers.
+  /// Enqueues the query on the engine's async workers. The query runs on
+  /// one worker without fanning out, since queued queries already occupy
+  /// the pool.
   std::future<Result<TopLResult>> Submit(Query query, QueryOptions options = {});
   std::future<Result<DTopLResult>> SubmitDiversified(Query query,
                                                      DTopLOptions options = {});
@@ -245,11 +259,17 @@ class Engine {
   /// queries); exposed for tests and capacity monitoring.
   std::size_t pooled_contexts() const;
 
+  /// Refinement scratch created so far for the current snapshot (== peak
+  /// number of threads refining at once, callers and pool workers together);
+  /// exposed for tests and capacity monitoring.
+  std::size_t pooled_scratch() const;
+
  private:
   /// One worker's detectors + stats shard. Leased to exactly one query at a
-  /// time, so the detectors' scratch reuse stays single-threaded. The
-  /// DTopLDetector (which embeds a second TopLDetector's scratch) is only
-  /// materialized once the context serves its first diversified query.
+  /// time. Both detectors lease refinement scratch from the snapshot's
+  /// shared RefineScratchPool, so a context itself holds only a keyword
+  /// bitmap per detector. The DTopLDetector is only materialized once the
+  /// context serves its first diversified query.
   ///
   /// A context is bound to one snapshot for life: the detectors hold
   /// references into it, and the shared_ptr pin keeps that epoch alive while
@@ -259,7 +279,8 @@ class Engine {
   struct WorkerContext {
     explicit WorkerContext(std::shared_ptr<const EngineSnapshot> snap)
         : snapshot(std::move(snap)),
-          topl(*snapshot->graph, *snapshot->pre, *snapshot->tree) {}
+          topl(*snapshot->graph, *snapshot->pre, *snapshot->tree,
+               snapshot->scratch) {}
 
     std::shared_ptr<const EngineSnapshot> snapshot;
     TopLDetector topl;
@@ -294,23 +315,38 @@ class Engine {
   Result<TopLResult> SearchOnContext(WorkerContext* context, QueryKind kind,
                                      const Query& query,
                                      const QueryOptions& options,
-                                     const SearchControl& control = {});
+                                     const SearchControl& control);
   Result<DTopLResult> SearchDiversifiedOnContext(
       WorkerContext* context, QueryKind kind, const Query& query,
-      const DTopLOptions& options, const SearchControl& control = {});
+      const DTopLOptions& options, const SearchControl& control);
 
   /// Cache-aware Search/SearchDiversified bodies: validate → lookup →
   /// single-flight → execute → fill (see cache/query_cache.h). `context` is
   /// an already-leased context (batch workers execute on theirs) or nullptr
-  /// to lease one only if execution is actually needed. With the cache
-  /// disabled these degenerate to the plain execution path.
+  /// to lease one only if execution is actually needed. `control` is the
+  /// execution's fan-out (FanOutControl, or none). With the cache disabled
+  /// these degenerate to the plain execution path.
   Result<TopLResult> CachedSearch(QueryKind kind, const Query& query,
                                   const QueryOptions& options,
-                                  WorkerContext* context);
+                                  WorkerContext* context,
+                                  const SearchControl& control);
   Result<DTopLResult> CachedSearchDiversified(QueryKind kind,
                                               const Query& query,
                                               const DTopLOptions& options,
-                                              WorkerContext* context);
+                                              WorkerContext* context,
+                                              const SearchControl& control);
+
+  /// Search/SearchDiversified behind the admission gate; `control` as for
+  /// CachedSearch.
+  Result<TopLResult> AdmitSearch(const Query& query, const QueryOptions& options,
+                                 const SearchControl& control);
+  Result<DTopLResult> AdmitSearchDiversified(const Query& query,
+                                             const DTopLOptions& options,
+                                             const SearchControl& control);
+
+  /// The control of a synchronous query: refinement fans out over pool_ in
+  /// chunks of the ProgressiveOptions default size.
+  SearchControl FanOutControl();
 
   /// Translates engine-level progressive options into a detector control.
   SearchControl MakeControl(const ProgressiveOptions& options,

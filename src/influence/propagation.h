@@ -2,11 +2,9 @@
 #define TOPL_INFLUENCE_PROPAGATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/lease_pool.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -36,9 +34,8 @@ struct InfluencedCommunity {
 ///
 /// The engine owns epoch-stamped scratch arrays sized to the graph, so a
 /// query workload can run thousands of propagations with no allocation
-/// beyond the result vectors. One engine per thread — the serving layer
-/// (topl::Engine) upholds this by never leasing a worker context to more
-/// than one query at a time.
+/// beyond the result vectors. One engine per thread — the detectors lease
+/// each refining thread its own (RefineScratchPool, core/topl_detector.h).
 class PropagationEngine {
  public:
   explicit PropagationEngine(const Graph& g);
@@ -66,25 +63,6 @@ class PropagationEngine {
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
   std::vector<HeapEntry> heap_;
-};
-
-/// \brief Lease pool of PropagationEngines: reentrant, chunkable influence
-/// evaluation over one graph.
-///
-/// A PropagationEngine is deliberately single-threaded (epoch-stamped O(n)
-/// scratch), so work that scores candidate chunks concurrently — the
-/// detectors' parallel refinement stage — leases one engine per in-flight
-/// scoring worker. Engines are created lazily up to peak concurrency and
-/// recycled across waves and queries (see common/lease_pool.h).
-///
-/// The computed scores depend only on (graph, seeds, theta) — never on which
-/// pooled engine ran the propagation — so chunked evaluation is bit-identical
-/// to sequential evaluation.
-class PropagationEnginePool : public LeasePool<PropagationEngine> {
- public:
-  explicit PropagationEnginePool(const Graph& g)
-      : LeasePool<PropagationEngine>(
-            [graph = &g] { return std::make_unique<PropagationEngine>(*graph); }) {}
 };
 
 }  // namespace topl

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +100,16 @@ class EngineTest : public ::testing::Test {
                           std::move(tree).value(), options);
   }
 
+  /// A fresh engine on a one-thread pool, where Search runs the sequential
+  /// detector path by contract: same traversal, so same pruning trace.
+  static std::unique_ptr<Engine> MakeSequentialEngine() {
+    EngineOptions options;
+    options.num_threads = 1;
+    Result<std::unique_ptr<Engine>> engine = MakeEngineFromSharedIndex(options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? std::move(engine).value() : nullptr;
+  }
+
   static DTopLOptions DiversifiedOptions() {
     DTopLOptions options;
     options.n_factor = 3;
@@ -124,11 +135,13 @@ class EngineTest : public ::testing::Test {
 EngineTest::World* EngineTest::world_ = nullptr;
 
 TEST_F(EngineTest, SearchMatchesSingleThreadedDetector) {
+  const std::unique_ptr<Engine> engine = MakeSequentialEngine();
+  ASSERT_NE(engine, nullptr);
   TopLDetector reference(world_->graph, world_->index.pre(), world_->index.tree);
   for (const Query& query : world_->queries) {
     Result<TopLResult> expected = reference.Search(query);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    Result<TopLResult> actual = world_->engine->Search(query);
+    Result<TopLResult> actual = engine->Search(query);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     ExpectSameCommunities(actual->communities, expected->communities);
     // The pruning trace must match too: same index, same traversal.
@@ -229,6 +242,74 @@ TEST_F(EngineTest, ConcurrentMixedQueriesMatchSingleThreaded) {
             kThreads + world_->engine->num_threads());
 }
 
+TEST_F(EngineTest, SynchronousSearchFansOutOverThePool) {
+  // Plain Search/SearchDiversified refine over the engine's pool. Callers and
+  // pool workers then refine side by side, yet the answers are those of
+  // fresh sequential detectors, and the snapshot's shared refinement scratch
+  // grows only to the threads refining at once.
+  EngineOptions options;
+  options.num_threads = 4;
+  Result<std::unique_ptr<Engine>> made = MakeEngineFromSharedIndex(options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Engine& engine = **made;
+
+  std::vector<TopLResult> expected_topl(world_->queries.size());
+  std::vector<DTopLResult> expected_dtopl(world_->queries.size());
+  for (std::size_t i = 0; i < world_->queries.size(); ++i) {
+    TopLDetector topl(world_->graph, world_->index.pre(), world_->index.tree);
+    Result<TopLResult> t = topl.Search(world_->queries[i]);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    expected_topl[i] = std::move(t).value();
+    DTopLDetector dtopl(world_->graph, world_->index.pre(), world_->index.tree);
+    Result<DTopLResult> d = dtopl.Search(world_->queries[i], DiversifiedOptions());
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    expected_dtopl[i] = std::move(d).value();
+  }
+
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRounds = 3;
+  std::vector<TopLResult> actual_topl(kCallers * kRounds * world_->queries.size());
+  std::vector<DTopLResult> actual_dtopl(actual_topl.size());
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t j = 0; j < world_->queries.size(); ++j) {
+          const std::size_t i = (j + t) % world_->queries.size();
+          const std::size_t slot =
+              (t * kRounds + round) * world_->queries.size() + i;
+          Result<TopLResult> r = engine.Search(world_->queries[i]);
+          if (r.ok()) actual_topl[slot] = std::move(r).value();
+          Result<DTopLResult> d =
+              engine.SearchDiversified(world_->queries[i], DiversifiedOptions());
+          if (d.ok()) actual_dtopl[slot] = std::move(d).value();
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  std::uint64_t parallel_chunks = 0;
+  for (std::size_t slot = 0; slot < actual_topl.size(); ++slot) {
+    const std::size_t i = slot % world_->queries.size();
+    const std::string label = "query " + std::to_string(i);
+    testing::ExpectIdentical(actual_topl[slot].communities,
+                             expected_topl[i].communities, label.c_str());
+    testing::ExpectIdentical(actual_dtopl[slot].communities,
+                             expected_dtopl[i].communities, label.c_str());
+    EXPECT_EQ(actual_dtopl[slot].diversity_score, expected_dtopl[i].diversity_score)
+        << label;
+    EXPECT_EQ(actual_dtopl[slot].pool_centers, expected_dtopl[i].pool_centers)
+        << label;
+    parallel_chunks += actual_topl[slot].stats.parallel_chunks +
+                       actual_dtopl[slot].candidate_stats.parallel_chunks;
+  }
+  EXPECT_GT(parallel_chunks, 0u);
+  EXPECT_EQ(engine.Stats().failed_queries, 0u);
+  EXPECT_GE(engine.pooled_scratch(), 1u);
+  EXPECT_LE(engine.pooled_scratch(), engine.num_threads() + kCallers);
+}
+
 TEST_F(EngineTest, SearchBatchMatchesPerSlotSearch) {
   std::vector<Result<TopLResult>> batch =
       world_->engine->SearchBatch(world_->queries);
@@ -263,33 +344,33 @@ TEST_F(EngineTest, SubmitResolvesFuturesToSameAnswers) {
 }
 
 TEST_F(EngineTest, StatsAggregateAcrossQueries) {
-  // A fresh engine so counters start from zero.
-  EngineOptions options;
-  options.num_threads = 2;
-  Result<std::unique_ptr<Engine>> engine = MakeEngineFromSharedIndex(options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // A fresh engine so counters start from zero, on one thread so that
+  // Search and SearchBatch both take the sequential path and the pruning
+  // counters double exactly.
+  const std::unique_ptr<Engine> engine = MakeSequentialEngine();
+  ASSERT_NE(engine, nullptr);
 
   QueryStats expected_sum;
   for (const Query& query : world_->queries) {
-    Result<TopLResult> r = (*engine)->Search(query);
+    Result<TopLResult> r = engine->Search(query);
     ASSERT_TRUE(r.ok());
     expected_sum += r->stats;
   }
   Result<DTopLResult> d =
-      (*engine)->SearchDiversified(world_->queries.front(), DiversifiedOptions());
+      engine->SearchDiversified(world_->queries.front(), DiversifiedOptions());
   ASSERT_TRUE(d.ok());
   expected_sum += d->candidate_stats;
 
   // One malformed query (radius beyond r_max) must count as failed.
   Query bad = world_->queries.front();
   bad.radius = 99;
-  Result<TopLResult> failed = (*engine)->Search(bad);
+  Result<TopLResult> failed = engine->Search(bad);
   EXPECT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsInvalidArgument());
 
-  (*engine)->SearchBatch(world_->queries);
+  engine->SearchBatch(world_->queries);
 
-  const EngineStats stats = (*engine)->Stats();
+  const EngineStats stats = engine->Stats();
   EXPECT_EQ(stats.topl_queries, 2 * world_->queries.size() + 1);
   EXPECT_EQ(stats.dtopl_queries, 1u);
   EXPECT_EQ(stats.queries_total, stats.topl_queries + stats.dtopl_queries);
@@ -475,24 +556,25 @@ TEST_F(EngineTest, ProgressiveDiversifiedHonorsPruningToggles) {
   // identical to the plain path) the refinement counters must match the
   // plain path's non-default-toggle run exactly — and visibly exceed the
   // default-toggle run.
+  // The plain path runs sequentially on a one-thread engine.
+  const std::unique_ptr<Engine> engine = MakeSequentialEngine();
+  ASSERT_NE(engine, nullptr);
   DTopLOptions no_keyword_pruning = DiversifiedOptions();
   no_keyword_pruning.topl_options.use_keyword_pruning = false;
   ProgressiveOptions sequential;
   sequential.parallel = false;
   for (const Query& query : world_->queries) {
-    Result<DTopLResult> plain =
-        world_->engine->SearchDiversified(query, no_keyword_pruning);
+    Result<DTopLResult> plain = engine->SearchDiversified(query, no_keyword_pruning);
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
     Result<DTopLResult> progressive =
-        world_->engine->SearchDiversifiedProgressive(query, no_keyword_pruning,
-                                                     sequential);
+        engine->SearchDiversifiedProgressive(query, no_keyword_pruning, sequential);
     ASSERT_TRUE(progressive.ok()) << progressive.status().ToString();
     ExpectSameCommunities(progressive->communities, plain->communities);
     EXPECT_EQ(progressive->candidate_stats.candidates_refined,
               plain->candidate_stats.candidates_refined);
     EXPECT_EQ(progressive->candidate_stats.pruned_keyword, 0u);
 
-    Result<DTopLResult> defaults = world_->engine->SearchDiversifiedProgressive(
+    Result<DTopLResult> defaults = engine->SearchDiversifiedProgressive(
         query, DiversifiedOptions(), sequential);
     ASSERT_TRUE(defaults.ok());
     EXPECT_GE(progressive->candidate_stats.candidates_refined,

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -296,6 +297,92 @@ TEST(ParallelSearchTest, ParallelScratchPoolGrowsToChunkConcurrencyOnly) {
   // Scratch is recycled across waves and queries: bounded by pool width (+1
   // for the calling thread's help-first participation).
   EXPECT_LE(detector.pooled_scratch(), pool.num_threads() + 1);
+}
+
+TEST(RefineScratchPoolTest, ConcurrentLeasesComputeIdenticalResults) {
+  // Threads leasing scratch concurrently must each get the results of a
+  // private extractor and engine, and the pool must grow only to peak
+  // concurrency.
+  const Graph g = MakeRandomGraph(5, 300);
+  Query q;
+  q.keywords = {0, 2, 5};
+  q.k = 3;
+  q.radius = 2;
+  q.theta = 0.2;
+  q.top_l = 3;
+
+  RefineScratch reference(g);
+  std::vector<SeedCommunity> expected_communities(16);
+  std::vector<InfluencedCommunity> expected_influence(16);
+  for (VertexId v = 0; v < 16; ++v) {
+    reference.extractor.Extract(v, q, &expected_communities[v]);
+    expected_influence[v] = reference.engine.ComputeFromSource(v, q.theta);
+  }
+
+  RefineScratchPool pool(g);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        RefineScratchPool::Lease scratch(&pool);
+        for (VertexId v = 0; v < 16; ++v) {
+          SeedCommunity community;
+          scratch->extractor.Extract(v, q, &community);
+          const InfluencedCommunity influence =
+              scratch->engine.ComputeFromSource(v, q.theta);
+          if (community.vertices != expected_communities[v].vertices ||
+              community.edges != expected_communities[v].edges ||
+              influence.vertices != expected_influence[v].vertices ||
+              influence.cpp != expected_influence[v].cpp ||
+              influence.score != expected_influence[v].score) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(pool.size(), 1u);
+  EXPECT_LE(pool.size(), static_cast<std::size_t>(kThreads));
+}
+
+TEST(ParallelSearchTest, DetectorsSharingAScratchPoolAnswerAlike) {
+  // Detectors handed one RefineScratchPool (as the engine does per
+  // snapshot) answer exactly like detectors that own theirs, sequential or
+  // parallel, and the shared pool holds one instance per thread refining.
+  ThreadPool threads(4);
+  const Graph g = MakeRandomGraph(21);
+  const BuiltIndex built = BuildIndexFor(g);
+  auto shared = std::make_shared<RefineScratchPool>(g);
+  TopLDetector topl(g, built.pre(), built.tree, shared);
+  DTopLDetector dtopl(g, built.pre(), built.tree, shared);
+  TopLDetector own_topl(g, built.pre(), built.tree);
+  DTopLDetector own_dtopl(g, built.pre(), built.tree);
+  Query q;
+  q.keywords = {0, 2, 5};
+  q.k = 3;
+  q.radius = 2;
+  q.theta = 0.2;
+  q.top_l = 3;
+  SearchControl control;
+  control.pool = &threads;
+  control.chunk_size = 2;
+  Result<TopLResult> expected = own_topl.Search(q);
+  Result<DTopLResult> expected_d = own_dtopl.Search(q);
+  ASSERT_TRUE(expected.ok() && expected_d.ok());
+  for (const SearchControl& c : {SearchControl{}, control}) {
+    Result<TopLResult> got = topl.Search(q, QueryOptions(), c);
+    Result<DTopLResult> got_d = dtopl.Search(q, DTopLOptions(), c);
+    ASSERT_TRUE(got.ok() && got_d.ok());
+    ExpectIdentical(got->communities, expected->communities, "topl");
+    ExpectIdentical(got_d->communities, expected_d->communities, "dtopl");
+  }
+  EXPECT_EQ(topl.pooled_scratch(), shared->size());
+  EXPECT_LE(shared->size(), threads.num_threads() + 1);
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 #include "influence/propagation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <map>
-#include <thread>
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -219,47 +217,6 @@ TEST(RestrictToThresholdTest, EquivalentToDirectRun) {
   const auto direct = engine.Compute(seeds, 0.2);
   EXPECT_EQ(AsMap(restricted), AsMap(direct));
   EXPECT_NEAR(restricted.score, direct.score, 1e-12);
-}
-
-TEST(PropagationEnginePoolTest, ConcurrentLeasesComputeIdenticalResults) {
-  // Chunked influence evaluation leans on the pool: N threads leasing
-  // engines concurrently must each get bit-identical results to a private
-  // engine, and the pool must grow only to peak concurrency.
-  SmallWorldOptions gen;
-  gen.num_vertices = 300;
-  gen.seed = 5;
-  Result<Graph> g = MakeSmallWorld(gen);
-  ASSERT_TRUE(g.ok());
-
-  PropagationEngine reference(*g);
-  std::vector<InfluencedCommunity> expected;
-  for (VertexId v = 0; v < 8; ++v) {
-    expected.push_back(reference.ComputeFromSource(v, 0.2));
-  }
-
-  PropagationEnginePool pool(*g);
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 5;
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < kRounds; ++round) {
-        PropagationEnginePool::Lease engine(&pool);
-        for (VertexId v = 0; v < 8; ++v) {
-          const InfluencedCommunity got = engine->ComputeFromSource(v, 0.2);
-          if (got.vertices != expected[v].vertices ||
-              got.cpp != expected[v].cpp || got.score != expected[v].score) {
-            mismatches.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(pool.size(), 1u);
-  EXPECT_LE(pool.size(), static_cast<std::size_t>(kThreads));
 }
 
 }  // namespace

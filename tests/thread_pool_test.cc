@@ -1,7 +1,12 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <thread>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -12,8 +17,56 @@ namespace topl {
 namespace {
 
 TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
+  // "Hardware" is the process's affinity mask, so taskset/cgroup limits
+  // hold; on an unrestricted host that is every CPU.
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.num_threads(), ProcessCpuCount());
+}
+
+TEST(ThreadPoolTest, PinnedFirstSubmitterDoesNotConfineTheWorkers) {
+  cpu_set_t constructor_mask;
+  CPU_ZERO(&constructor_mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(constructor_mask), &constructor_mask), 0);
+  if (CPU_COUNT(&constructor_mask) < 2) {
+    GTEST_SKIP() << "needs an affinity mask of at least two CPUs";
+  }
+  constexpr std::size_t kWorkers = 3;
+  ThreadPool pool(kWorkers);
+
+  // Each task blocks until all kWorkers are running at once, so every queue
+  // worker runs exactly one and reports its own mask.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::vector<cpu_set_t> worker_masks(kWorkers);
+  std::thread submitter([&] {
+    cpu_set_t one_cpu;
+    CPU_ZERO(&one_cpu);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &constructor_mask)) {
+        CPU_SET(cpu, &one_cpu);
+        break;
+      }
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one_cpu), &one_cpu), 0);
+    std::vector<std::future<void>> done;
+    for (std::size_t t = 0; t < kWorkers; ++t) {
+      done.push_back(pool.Submit([&, t] {
+        CPU_ZERO(&worker_masks[t]);
+        sched_getaffinity(0, sizeof(cpu_set_t), &worker_masks[t]);
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        cv.wait(lock, [&] { return arrived == kWorkers; });
+      }));
+    }
+    for (auto& f : done) f.get();
+  });
+  submitter.join();
+  for (std::size_t t = 0; t < kWorkers; ++t) {
+    EXPECT_TRUE(CPU_EQUAL(&worker_masks[t], &constructor_mask)) << "task " << t;
+  }
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
