@@ -154,7 +154,7 @@ Result<std::unique_ptr<Engine>> OpenArtifact(const std::string& path) {
 
 /// RSS of serving the deployment configuration (reordered + compressed,
 /// mmap): open + one query in a forked child, footprint shipped back over a
-/// pipe. Mirrors bench_cold_start's isolation rationale.
+/// pipe. The fresh process keeps the parent's builds out of the figure.
 double MeasureServingRssMb(const std::string& path, const Query& query) {
   int fds[2];
   if (pipe(fds) != 0) return 0.0;

@@ -32,7 +32,6 @@ std::uint8_t PackOptions(const QueryOptions& options) {
   if (options.use_support_pruning) bits |= 1u << 1;
   if (options.use_score_pruning) bits |= 1u << 2;
   if (options.use_center_truss_bound) bits |= 1u << 3;
-  if (options.use_reference_extraction) bits |= 1u << 4;
   return bits;
 }
 

@@ -285,11 +285,10 @@ struct ChunkOutput {
 // the center-degree precheck rejects costs less than a line bouncing between
 // cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
-                 SeedCommunityExtractor::Mode mode, const KeywordMatch& match,
-                 SeedCommunityExtractor& extractor, PropagationEngine& engine,
-                 const ScoreMemo& query_memo, ScoreMemo* worker_memo,
-                 const CancelToken& cancel, const DeadlineClock& deadline,
-                 ChunkOutput* slot) {
+                 const KeywordMatch& match, SeedCommunityExtractor& extractor,
+                 PropagationEngine& engine, const ScoreMemo& query_memo,
+                 ScoreMemo* worker_memo, const CancelToken& cancel,
+                 const DeadlineClock& deadline, ChunkOutput* slot) {
   if (cancel.cancelled() || deadline.Expired()) {
     slot->skipped += candidates.size();
     return;
@@ -298,8 +297,9 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
   for (VertexId v : candidates) {
     ++out.refined;
     CommunityResult candidate;
-    const bool found =
-        extractor.Extract(v, query, mode, &candidate.community, &match);
+    const bool found = extractor.Extract(
+        v, query, SeedCommunityExtractor::Mode::kIncremental,
+        &candidate.community, &match);
     out.triangles_inspected += extractor.last_triangles_inspected();
     out.support_recomputes_avoided += extractor.last_support_recomputes_avoided();
     if (!found) continue;
@@ -360,9 +360,6 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   TopLCollector collector(query.top_l);
   PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv,
                   &keyword_match_);
-  const SeedCommunityExtractor::Mode extraction_mode =
-      options.use_reference_extraction ? SeedCommunityExtractor::Mode::kReference
-                                       : SeedCommunityExtractor::Mode::kIncremental;
   const DeadlineClock deadline(control.deadline_seconds);
   const bool checkpoints = control.NeedsCheckpoints();
 
@@ -470,7 +467,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
         ++stats.candidates_refined;
         CommunityResult candidate;
         const bool found = own->extractor.Extract(
-            v, query, extraction_mode, &candidate.community, &keyword_match_);
+            v, query, SeedCommunityExtractor::Mode::kIncremental,
+            &candidate.community, &keyword_match_);
         stats.triangles_inspected += own->extractor.last_triangles_inspected();
         stats.support_recomputes_avoided +=
             own->extractor.last_support_recomputes_avoided();
@@ -505,9 +503,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, keyword_match_, scratch->extractor,
-                      scratch->engine, memo, &worker_memo, control.cancel,
-                      deadline, &outputs[c]);
+                      keyword_match_, scratch->extractor, scratch->engine,
+                      memo, &worker_memo, control.cancel, deadline,
+                      &outputs[c]);
         }
       };
       // No more tasks than the process has CPUs: on an oversubscribed pool a

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "graph/binary_io.h"
 #include "graph/reorder.h"
-#include "index/index_io.h"
 #include "storage/artifact.h"
 
 namespace topl {
@@ -223,6 +222,12 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
     return engine;
   }
 
+  // Any other existing file is not an index this engine can serve. Building
+  // in its place would overwrite the caller's file, so refuse instead.
+  if (have_index_file) {
+    return Status::Corruption(options.index_path +
+                              " is not a TOPLIDX2 index artifact");
+  }
   if (options.graph_path.empty()) {
     return Status::InvalidArgument(
         "EngineOptions::graph_path is required (only a TOPLIDX2 index "
@@ -230,17 +235,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
   }
   Result<Graph> graph = ReadGraphBinary(options.graph_path);
   if (!graph.ok()) return graph.status();
-
-  if (have_index_file) {
-    Result<IndexCodec::LoadedIndex> loaded =
-        IndexCodec::Read(options.index_path, *graph);
-    if (!loaded.ok()) return loaded.status();
-    Result<std::unique_ptr<Engine>> engine =
-        Create(std::move(graph).value(), std::move(loaded->data),
-               std::move(loaded->tree), options);
-    if (engine.ok()) (*engine)->index_source_ = IndexSource::kLegacyCopy;
-    return engine;
-  }
 
   if (!options.build_index_if_missing) {
     return Status::NotFound("index file not found: " + options.index_path +

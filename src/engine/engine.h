@@ -106,7 +106,6 @@ class Engine {
   /// How the engine came to hold its offline-phase state.
   enum class IndexSource {
     kInMemory,        ///< built in-process or adopted via Create/FromGraph
-    kLegacyCopy,      ///< parsed+copied from a TOPLIDX1 file
     kMappedArtifact,  ///< zero-copy views of a mmap-ed TOPLIDX2 artifact
   };
 
@@ -124,8 +123,8 @@ class Engine {
 
   /// Loads serving state from files. A TOPLIDX2 artifact at
   /// options.index_path is mmap-ed and served zero-copy (graph included;
-  /// options.graph_path is then only cross-checked); a legacy TOPLIDX1 index
-  /// is parsed alongside the graph file; a missing index file is built
+  /// options.graph_path is then only cross-checked); any other existing file
+  /// there is Corruption and is left untouched; a missing index file is built
   /// in-process (and persisted back as a TOPLIDX2 artifact when
   /// options.save_built_index).
   static Result<std::unique_ptr<Engine>> Open(const EngineOptions& options);

@@ -51,9 +51,9 @@ struct EngineOptions {
   /// against the graph file's header.
   std::string graph_path;
 
-  /// Index file. A TOPLIDX2 artifact (storage/artifact.h) is mmap-ed and
-  /// served zero-copy; a legacy TOPLIDX1 file (index/index_io.h) is parsed
-  /// into owned memory. When the file is missing (or the field is empty) the
+  /// Index file: a TOPLIDX2 artifact (storage/artifact.h), mmap-ed and
+  /// served zero-copy. An existing file of any other kind fails Open with
+  /// Corruption. When the file is missing (or the field is empty) the
   /// offline phase runs in-process, subject to `build_index_if_missing`.
   std::string index_path;
 

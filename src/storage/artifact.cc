@@ -720,7 +720,7 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
     }
   }
 
-  // Tree invariants (same checks as the legacy codec).
+  // Tree invariants.
   for (const TreeIndex::Node& node : s.nodes) {
     if (node.is_leaf > 1) return Corrupt(path, "node leaf flag out of range");
     if (node.is_leaf == 0 && (node.first_child >= nodes ||

@@ -47,8 +47,8 @@ namespace topl {
 ///
 /// ArtifactWriter emits version 1 unless compression or an external-id
 /// permutation is requested, so default-written files are byte-compatible
-/// with older readers. `topl_cli index migrate` upgrades either the legacy
-/// TOPLIDX1 format (index/index_io.h) or a version-1 artifact in place.
+/// with older readers. `topl_cli index migrate` re-encodes an artifact
+/// (raw <-> compressed) into a new file; TOPLIDX2 is the only index format.
 
 /// Per-section payload encodings (the DiskSection `encoding` field).
 enum class SectionEncoding : std::uint32_t {

@@ -49,7 +49,6 @@
 #include "graph/local_subgraph.h"
 #include "graph/reorder.h"
 #include "graph/types.h"
-#include "index/index_io.h"
 #include "index/index_update.h"
 #include "index/precompute.h"
 #include "index/tree_index.h"

@@ -19,7 +19,6 @@
 #include "graph/binary_io.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
-#include "index/index_io.h"
 #include "storage/mapped_file.h"
 #include "tests/test_util.h"
 
@@ -270,54 +269,6 @@ TEST_F(ArtifactTest, EngineSavesBuiltIndexAsArtifact) {
   }
 }
 
-TEST_F(ArtifactTest, MigratedLegacyIndexHasEqualBounds) {
-  const BuiltIndex built = BuildIndexFor(*graph_);
-  const std::string legacy_path = Path("legacy.bin");
-  const std::string artifact_path = Path("migrated.idx");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, legacy_path).ok());
-
-  // Migrate: legacy read -> artifact write -> mmap open (what
-  // `topl_cli index migrate` does).
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(legacy_path, *graph_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(
-      ArtifactWriter::Write(*graph_, *loaded->data, loaded->tree, artifact_path)
-          .ok());
-  Result<MappedIndex> mapped = ArtifactReader::Open(artifact_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-  const PrecomputedData& pre = built.pre();
-  const PrecomputedData& back = *mapped->pre;
-  ASSERT_EQ(back.r_max(), pre.r_max());
-  ASSERT_EQ(back.num_thetas(), pre.num_thetas());
-  for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-    EXPECT_EQ(back.CenterTrussBound(v), pre.CenterTrussBound(v));
-    for (std::uint32_t r = 1; r <= pre.r_max(); ++r) {
-      EXPECT_EQ(back.SupportBound(v, r), pre.SupportBound(v, r));
-      ASSERT_EQ(back.SignatureWords(v, r).size(), pre.SignatureWords(v, r).size());
-      for (std::size_t w = 0; w < pre.words_per_signature(); ++w) {
-        EXPECT_EQ(back.SignatureWords(v, r)[w], pre.SignatureWords(v, r)[w]);
-      }
-      for (std::uint32_t z = 0; z < pre.num_thetas(); ++z) {
-        EXPECT_EQ(back.ScoreBound(v, r, z), pre.ScoreBound(v, r, z));
-      }
-    }
-  }
-  const TreeIndex& tree = mapped->tree;
-  ASSERT_EQ(tree.NumNodes(), built.tree.NumNodes());
-  EXPECT_EQ(tree.root(), built.tree.root());
-  EXPECT_EQ(tree.height(), built.tree.height());
-  for (std::uint32_t id = 0; id < tree.NumNodes(); ++id) {
-    EXPECT_EQ(tree.CenterTrussBound(id), built.tree.CenterTrussBound(id));
-    for (std::uint32_t r = 1; r <= pre.r_max(); ++r) {
-      EXPECT_EQ(tree.SupportBound(id, r), built.tree.SupportBound(id, r));
-      for (std::uint32_t z = 0; z < pre.num_thetas(); ++z) {
-        EXPECT_EQ(tree.ScoreBound(id, r, z), built.tree.ScoreBound(id, r, z));
-      }
-    }
-  }
-}
-
 TEST_F(ArtifactTest, InPlaceRewritePreservesTheArtifact) {
   const BuiltIndex built = BuildIndexFor(*graph_);
   const std::string path = Path("index.idx");
@@ -326,11 +277,12 @@ TEST_F(ArtifactTest, InPlaceRewritePreservesTheArtifact) {
 
   // Migrate with --in == --out: the payload spans are views into the very
   // mapping being rewritten, so Write must not truncate in place.
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(path, *graph_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->data->IsMapped());
+  Result<MappedIndex> mapped = ArtifactReader::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped->pre->IsMapped());
   ASSERT_TRUE(
-      ArtifactWriter::Write(*graph_, *loaded->data, loaded->tree, path).ok());
+      ArtifactWriter::Write(mapped->graph, *mapped->pre, mapped->tree, path)
+          .ok());
   EXPECT_EQ(ReadAll(path), original);
   EXPECT_TRUE(ArtifactReader::Open(path).ok());
 }
@@ -381,7 +333,7 @@ TEST_F(ArtifactTest, FlippedBytesInEverySectionAreRejected) {
   EXPECT_TRUE(ArtifactReader::Open(path).ok());
 }
 
-TEST_F(ArtifactTest, TruncationsAreRejected) {
+TEST_F(ArtifactTest, TruncationsAndTrailingBytesAreRejected) {
   const BuiltIndex built = BuildIndexFor(*graph_);
   const std::string path = Path("index.idx");
   ASSERT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, path).ok());
@@ -395,6 +347,10 @@ TEST_F(ArtifactTest, TruncationsAreRejected) {
     ASSERT_FALSE(opened.ok()) << "truncation to " << len << " was accepted";
     EXPECT_TRUE(opened.status().IsCorruption());
   }
+  std::vector<char> extended = original;
+  extended.insert(extended.end(), {'e', 'x', 't', 'r', 'a'});
+  WriteAll(path, extended);
+  EXPECT_TRUE(ArtifactReader::Open(path).status().IsCorruption());
 }
 
 TEST_F(ArtifactTest, ChecksumVerificationCanBeSkippedButStructureIsStillChecked) {
@@ -453,12 +409,33 @@ TEST_F(ArtifactTest, MissingFileIsIOError) {
   EXPECT_FALSE(ArtifactReader::IsArtifact(Path("absent.idx")));
 }
 
-TEST_F(ArtifactTest, LegacyFileIsNotAnArtifact) {
-  const BuiltIndex built = BuildIndexFor(*graph_);
-  const std::string path = Path("legacy.bin");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, path).ok());
+TEST_F(ArtifactTest, JunkFileIsNotAnArtifact) {
+  const std::string path = Path("junk.bin");
+  WriteAll(path, std::vector<char>(256, 'x'));
   EXPECT_FALSE(ArtifactReader::IsArtifact(path));
   EXPECT_TRUE(ArtifactReader::Open(path).status().IsCorruption());
+}
+
+TEST_F(ArtifactTest, EngineOpenRefusesANonArtifactIndexFile) {
+  // An existing index file that is not TOPLIDX2 must fail Open as it is:
+  // building the index in its place would overwrite the caller's file.
+  const std::string graph_path = Path("graph.bin");
+  const std::string index_path = Path("junk.idx");
+  ASSERT_TRUE(WriteGraphBinary(*graph_, graph_path).ok());
+  const std::vector<char> junk(256, 'x');
+  WriteAll(index_path, junk);
+
+  EngineOptions options;
+  options.graph_path = graph_path;
+  options.index_path = index_path;
+  options.build_index_if_missing = true;
+  options.save_built_index = true;
+  Result<std::unique_ptr<Engine>> engine = Engine::Open(options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status().ToString();
+  EXPECT_NE(engine.status().message().find(index_path), std::string::npos)
+      << engine.status().ToString();
+  EXPECT_EQ(ReadAll(index_path), junk);
 }
 
 TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {

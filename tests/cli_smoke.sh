@@ -2,7 +2,8 @@
 # End-to-end smoke test of topl_cli: generate -> index build -> query ->
 # dtopl on a tiny graph, then the flag-validation contract: an unknown flag
 # or a malformed number must exit 1 with an InvalidArgument error instead of
-# silently falling back to a default.
+# silently falling back to a default. Last, an `index migrate` round trip and
+# a query against a file that is not an index.
 #
 # Usage: sh tests/cli_smoke.sh path/to/topl_cli
 set -eu
@@ -46,5 +47,25 @@ test ! -e never.idx
 expect_invalid k=abc query $query
 expect_invalid theta=0.2x query $query
 expect_invalid L=-1 dtopl $query
+# TOPLIDX2 is the only index format: there is no --format flag.
+expect_invalid format=legacy index build --graph=graph.bin --out=never.idx
+test ! -e never.idx
+
+# migrate re-encodes raw -> compressed -> raw back to the original bytes.
+"$cli" index migrate --in=index.idx --out=packed.idx --compress=1
+"$cli" index migrate --in=packed.idx --out=unpacked.idx --compress=0
+cmp index.idx unpacked.idx
+
+# A file that is not an index fails the query and is left as it was.
+printf 'not an index\n' > junk.idx
+cp junk.idx junk.orig
+status=0
+"$cli" query --graph=graph.bin --index=junk.idx --keywords=1,8,21 \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "expected exit 1 for a non-index --index (got $status)" >&2
+  exit 1
+fi
+cmp junk.idx junk.orig
 
 echo "cli_smoke: OK"

@@ -530,7 +530,9 @@ TEST_F(EngineTest, ProgressiveMatchesPlainSearch) {
     ASSERT_TRUE(progressive.ok()) << progressive.status().ToString();
     EXPECT_FALSE(progressive->truncated);
     ExpectSameCommunities(progressive->communities, plain->communities);
-    if (!plain->communities.empty()) EXPECT_GE(updates, 1);
+    if (!plain->communities.empty()) {
+      EXPECT_GE(updates, 1);
+    }
   }
 }
 

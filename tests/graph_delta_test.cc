@@ -46,10 +46,14 @@ TEST(GraphDeltaTest, InsertAndDeleteEdges) {
   const EdgeId e = updated->FindEdge(3, 4);
   ASSERT_NE(e, kInvalidEdge);
   for (const Graph::Arc& arc : updated->Neighbors(3)) {
-    if (arc.to == 4) EXPECT_FLOAT_EQ(arc.prob, 0.7f);
+    if (arc.to == 4) {
+      EXPECT_FLOAT_EQ(arc.prob, 0.7f);
+    }
   }
   for (const Graph::Arc& arc : updated->Neighbors(4)) {
-    if (arc.to == 3) EXPECT_FLOAT_EQ(arc.prob, 0.9f);
+    if (arc.to == 3) {
+      EXPECT_FLOAT_EQ(arc.prob, 0.9f);
+    }
   }
 }
 
@@ -101,7 +105,9 @@ TEST(GraphDeltaTest, ReweightViaDeleteThenInsert) {
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(updated->NumEdges(), 2u);
   for (const Graph::Arc& arc : updated->Neighbors(0)) {
-    if (arc.to == 1) EXPECT_FLOAT_EQ(arc.prob, 0.9f);
+    if (arc.to == 1) {
+      EXPECT_FLOAT_EQ(arc.prob, 0.9f);
+    }
   }
 }
 

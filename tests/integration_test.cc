@@ -54,13 +54,13 @@ TEST_F(IntegrationTest, FullPipelineOverPersistedArtifacts) {
   ASSERT_TRUE(pre.ok());
   Result<TreeIndex> tree = TreeIndex::Build(*graph, *pre);
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(IndexCodec::Write(*pre, *tree, Path("index.bin")).ok());
+  ASSERT_TRUE(
+      ArtifactWriter::Write(*graph, *pre, *tree, Path("index.idx")).ok());
 
-  // 4. Reload the index and query.
-  Result<IndexCodec::LoadedIndex> loaded =
-      IndexCodec::Read(Path("index.bin"), *graph);
-  ASSERT_TRUE(loaded.ok());
-  TopLDetector detector(*graph, *loaded->data, loaded->tree);
+  // 4. Reload the index (mmap-ed, graph included) and query.
+  Result<MappedIndex> loaded = ArtifactReader::Open(Path("index.idx"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  TopLDetector detector(loaded->graph, *loaded->pre, loaded->tree);
   Query q;
   q.keywords = {0, 1, 2, 3, 4};
   q.k = 3;
@@ -84,7 +84,7 @@ TEST_F(IntegrationTest, FullPipelineOverPersistedArtifacts) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
 
   // 6. DTopL on the same index.
-  DTopLDetector dtopl(*graph, *loaded->data, loaded->tree);
+  DTopLDetector dtopl(loaded->graph, *loaded->pre, loaded->tree);
   DTopLOptions dopts;
   dopts.n_factor = 3;
   Result<DTopLResult> diversified = dtopl.Search(q, dopts);

@@ -140,9 +140,6 @@ TEST(CacheKeyTest, EveryQueryDimensionSeparatesKeys) {
   QueryOptions options;
   options.use_score_pruning = false;
   keys.push_back(CacheKey::ForTopL(base, options));
-  options = QueryOptions();
-  options.use_reference_extraction = true;
-  keys.push_back(CacheKey::ForTopL(base, options));
   // DTopL dimensions.
   keys.push_back(CacheKey::ForDTopL(base, DTopLOptions()));
   DTopLOptions dtopl;

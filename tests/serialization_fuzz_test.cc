@@ -1,7 +1,7 @@
 // Robustness fuzzing of the binary codecs: a reader fed truncated or
 // bit-flipped files must return a clean Status (never crash, never hand back
 // a structurally invalid object). Complements the targeted corruption cases
-// in io_test / index_io_test with a sweep over corruption positions.
+// in io_test / artifact_test with a sweep over corruption positions.
 
 #include <unistd.h>
 
@@ -15,7 +15,6 @@
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
 #include "gtest/gtest.h"
-#include "index/index_io.h"
 #include "storage/artifact.h"
 #include "storage/update_journal.h"
 #include "tests/test_util.h"
@@ -102,62 +101,6 @@ TEST_F(SerializationFuzzTest, GraphBitFlipsNeverYieldInvalidGraph) {
           ASSERT_GT(arc.to, prev);
         }
         prev = arc.to;
-      }
-    }
-  }
-}
-
-TEST_F(SerializationFuzzTest, IndexTruncationSweepNeverCrashes) {
-  SmallWorldOptions gen;
-  gen.num_vertices = 60;
-  gen.seed = 20;
-  Result<Graph> g = MakeSmallWorld(gen);
-  ASSERT_TRUE(g.ok());
-  const BuiltIndex built = BuildIndexFor(*g);
-  const std::string path = Path("i.bin");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, path).ok());
-  const std::vector<char> bytes = ReadAll(path);
-
-  for (std::size_t len = 0; len < bytes.size(); len += 97) {
-    WriteAll(path, std::vector<char>(bytes.begin(), bytes.begin() + len));
-    Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(path, *g);
-    EXPECT_FALSE(loaded.ok()) << "truncation at " << len << " parsed";
-  }
-  WriteAll(path, bytes);
-  EXPECT_TRUE(IndexCodec::Read(path, *g).ok());
-}
-
-TEST_F(SerializationFuzzTest, IndexBitFlipsSurfaceAsStatusOrSaneIndex) {
-  SmallWorldOptions gen;
-  gen.num_vertices = 50;
-  gen.seed = 21;
-  Result<Graph> g = MakeSmallWorld(gen);
-  ASSERT_TRUE(g.ok());
-  const BuiltIndex built = BuildIndexFor(*g);
-  const std::string path = Path("i.bin");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, path).ok());
-  const std::vector<char> original = ReadAll(path);
-
-  Rng rng(22);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<char> mutated = original;
-    const std::size_t pos = rng.NextBounded(mutated.size());
-    mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << rng.NextBounded(8)));
-    WriteAll(path, mutated);
-    Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(path, *g);
-    if (!loaded.ok()) continue;
-    // Accepted mutants must keep the structural invariants the detector
-    // relies on (bounds may be wrong — that only costs pruning safety for a
-    // corrupt file — but traversal must not go out of bounds).
-    const TreeIndex& tree = loaded->tree;
-    ASSERT_LT(tree.root(), tree.NumNodes());
-    for (std::uint32_t id = 0; id < tree.NumNodes(); ++id) {
-      const TreeIndex::Node& node = tree.node(id);
-      if (node.is_leaf) {
-        ASSERT_LE(node.begin, node.end);
-        ASSERT_LE(node.end, g->NumVertices());
-      } else {
-        ASSERT_LE(node.first_child + node.num_children, tree.NumNodes());
       }
     }
   }

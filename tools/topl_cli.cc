@@ -4,11 +4,9 @@
 //   topl_cli generate --kind=uni --vertices=10000 --out=graph.bin
 //   topl_cli convert  --in=com-dblp.ungraph.txt --out=graph.bin
 //   topl_cli index build   --graph=graph.bin --out=index.idx
-//                          [--rmax=3 --threads=0 --format=v2|legacy
-//                           --reorder=0 --compress=0]
+//                          [--rmax=3 --threads=0 --reorder=0 --compress=0]
 //   topl_cli index inspect --artifact=index.idx
-//   topl_cli index migrate --in=old.bin --graph=graph.bin --out=index.idx
-//                          [--compress=0]
+//   topl_cli index migrate --in=old.idx --out=index.idx [--compress=0]
 //   topl_cli update   --index=index.idx --delta=delta.txt --out=patched.idx
 //                     [--journal=wal.jrn]
 //   topl_cli recover  --index=index.idx --journal=wal.jrn
@@ -16,15 +14,15 @@
 //   topl_cli stats    --graph=graph.bin
 //
 // `index build` writes the mmap-able TOPLIDX2 artifact (graph + precompute +
-// tree in one file) unless --format=legacy asks for the old TOPLIDX1 stream.
-// --reorder=1 permutes vertices into a locality-preserving order
-// (graph/reorder.h) before CSR packing and records the internal→external
-// permutation in the artifact's g.extids section, so every id the online
-// commands print is still the original graph's id; --compress=1 stores the
-// large array sections delta+varint-encoded (artifact v2). `index inspect`
+// tree in one file), the only index format. --reorder=1 permutes vertices
+// into a locality-preserving order (graph/reorder.h) before CSR packing and
+// records the internal→external permutation in the artifact's g.extids
+// section, so every id the online commands print is still the original
+// graph's id; --compress=1 stores the large array sections
+// delta+varint-encoded (artifact v2). `index inspect`
 // dumps an artifact's section table, per-section encoding and checksums;
-// `index migrate` rewrites a TOPLIDX1 file — or re-encodes an existing
-// TOPLIDX2 artifact — as TOPLIDX2, honoring --compress. Bare
+// `index migrate` re-encodes an artifact raw <-> compressed per --compress,
+// keeping its embedded graph and vertex permutation. Bare
 // `topl_cli index --graph=... --out=...` remains an alias for `index build`.
 //
 // `convert` streams the edge list (bounded memory for the line buffer; the
@@ -139,7 +137,7 @@ const std::map<std::string, FlagKind>& KnownFlags() {
       {"cache-max-mb", K::kUint}, {"chunk", K::kUint},
       {"compress", K::kBool},    {"deadline-ms", K::kDouble},
       {"delta", K::kString},     {"domain", K::kUint},
-      {"format", K::kString},    {"graph", K::kString},
+      {"graph", K::kString},
       {"in", K::kString},        {"index", K::kString},
       {"journal", K::kString},   {"json", K::kString},
       {"k", K::kUint},           {"keywords", K::kUintList},
@@ -346,18 +344,8 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
 int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
   const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   const std::string out = FlagOr(flags, "out", "index.bin");
-  const std::string format = FlagOr(flags, "format", "v2");
-  if (format != "v2" && format != "legacy") {
-    return Fail(Status::InvalidArgument("unknown --format: " + format +
-                                        " (expected v2 or legacy)"));
-  }
   const bool reorder = FlagOr(flags, "reorder", "0") == "1";
   const bool compress = FlagOr(flags, "compress", "0") == "1";
-  if (format == "legacy" && (reorder || compress)) {
-    return Fail(Status::InvalidArgument(
-        "--format=legacy cannot store a vertex permutation or encoded "
-        "sections; drop --reorder/--compress or use --format=v2"));
-  }
   Result<Graph> graph = ReadGraphBinary(graph_path);
   if (!graph.ok()) return Fail(graph.status());
   Timer timer;
@@ -379,13 +367,11 @@ int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
   write_options.compress = compress;
   write_options.external_ids = external_ids;
   const Status status =
-      format == "legacy"
-          ? IndexCodec::Write(*pre, *tree, out)
-          : ArtifactWriter::Write(*graph, *pre, *tree, out, write_options);
+      ArtifactWriter::Write(*graph, *pre, *tree, out, write_options);
   if (!status.ok()) return Fail(status);
-  std::printf("indexed %s in %.2fs -> %s (%s%s%s, %zu tree nodes, height %u)\n",
+  std::printf("indexed %s in %.2fs -> %s (TOPLIDX2%s%s, %zu tree nodes, "
+              "height %u)\n",
               graph_path.c_str(), timer.ElapsedSeconds(), out.c_str(),
-              format == "legacy" ? "TOPLIDX1" : "TOPLIDX2",
               reorder ? ", reordered" : "", compress ? ", compressed" : "",
               tree->NumNodes(), tree->height());
   return 0;
@@ -396,12 +382,11 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
       FlagOr(flags, "artifact", FlagOr(flags, "in", "index.bin"));
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
   if (!info.ok()) {
-    // A bad magic usually means a legacy TOPLIDX1 file; an unreadable file
+    // A bad magic means the file is not an index at all; an unreadable file
     // keeps its IO error.
     if (info.status().IsCorruption()) {
       std::fprintf(stderr,
-                   "hint: convert legacy TOPLIDX1 indexes with "
-                   "`topl_cli index migrate`\n");
+                   "hint: rebuild the index with `topl_cli index build`\n");
     }
     return Fail(info.status());
   }
@@ -433,40 +418,25 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
 
 int CmdIndexMigrate(const std::map<std::string, std::string>& flags) {
   const std::string in = FlagOr(flags, "in", "");
-  const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   const std::string out = FlagOr(flags, "out", "");
   if (in.empty() || out.empty()) {
     return Fail(Status::InvalidArgument(
-        "index migrate needs --in=OLD_INDEX and --out=NEW_ARTIFACT"));
+        "index migrate needs --in=ARTIFACT and --out=NEW_ARTIFACT"));
   }
+  // Re-encode (raw <-> compressed), keeping the embedded graph and
+  // external-id permutation. --out may equal --in: Write never truncates
+  // the mapping it reads from.
+  Result<MappedIndex> mapped = ArtifactReader::Open(in);
+  if (!mapped.ok()) return Fail(mapped.status());
   ArtifactWriteOptions write_options;
   write_options.compress = FlagOr(flags, "compress", "0") == "1";
-
-  // A TOPLIDX2 input is re-encoded in place (raw <-> compressed), keeping
-  // its embedded graph and external-id permutation; no --graph needed.
-  if (ArtifactReader::IsArtifact(in)) {
-    Result<MappedIndex> mapped = ArtifactReader::Open(in);
-    if (!mapped.ok()) return Fail(mapped.status());
-    write_options.external_ids = mapped->external_ids;
-    const Status status = ArtifactWriter::Write(mapped->graph, *mapped->pre,
-                                                mapped->tree, out, write_options);
-    if (!status.ok()) return Fail(status);
-    std::printf("migrated %s -> %s (TOPLIDX2%s, %zu tree nodes)\n", in.c_str(),
-                out.c_str(), write_options.compress ? ", compressed" : "",
-                mapped->tree.NumNodes());
-    return 0;
-  }
-
-  Result<Graph> graph = ReadGraphBinary(graph_path);
-  if (!graph.ok()) return Fail(graph.status());
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(in, *graph);
-  if (!loaded.ok()) return Fail(loaded.status());
-  const Status status = ArtifactWriter::Write(*graph, *loaded->data,
-                                              loaded->tree, out, write_options);
+  write_options.external_ids = mapped->external_ids;
+  const Status status = ArtifactWriter::Write(mapped->graph, *mapped->pre,
+                                              mapped->tree, out, write_options);
   if (!status.ok()) return Fail(status);
   std::printf("migrated %s -> %s (TOPLIDX2%s, %zu tree nodes)\n", in.c_str(),
               out.c_str(), write_options.compress ? ", compressed" : "",
-              loaded->tree.NumNodes());
+              mapped->tree.NumNodes());
   return 0;
 }
 
@@ -481,8 +451,8 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
   }
   if (!ArtifactReader::IsArtifact(index_path)) {
     return Fail(Status::InvalidArgument(
-        index_path + " is not a TOPLIDX2 artifact (run `topl_cli index "
-        "migrate` on legacy indexes first)"));
+        index_path + " is not a TOPLIDX2 artifact (build one with `topl_cli "
+        "index build`)"));
   }
   Result<GraphDelta> delta = ReadGraphDeltaText(delta_path);
   if (!delta.ok()) return Fail(delta.status());
