@@ -25,104 +25,33 @@
 // `cached.hit_rate` carry absolute --require floors, both ops_per_s values
 // are gated relative to the committed baseline.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
 
-struct Flags {
-  std::size_t vertices = 2000;
-  std::uint64_t seed = 42;
-  std::uint32_t rmax = 2;
-  std::size_t workers = 4;
-  std::size_t engine_threads = 2;
-  double seconds = 3.0;
-  double warmup_seconds = 1.0;
-  int verify_rounds = 4;
-  int verify_queries = 24;
-  std::size_t cache_max_mb = 64;
-  std::string json = "BENCH_cache.json";
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "vertices") {
-      flags.vertices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "rmax") {
-      flags.rmax = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "workers") {
-      flags.workers = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "engine-threads") {
-      flags.engine_threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seconds") {
-      flags.seconds = std::strtod(value.c_str(), nullptr);
-    } else if (key == "warmup-seconds") {
-      flags.warmup_seconds = std::strtod(value.c_str(), nullptr);
-    } else if (key == "verify-rounds") {
-      flags.verify_rounds = std::atoi(value.c_str());
-    } else if (key == "verify-queries") {
-      flags.verify_queries = std::atoi(value.c_str());
-    } else if (key == "cache-max-mb") {
-      flags.cache_max_mb = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "json") {
-      flags.json = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
-bool SameCommunities(const std::vector<CommunityResult>& a,
-                     const std::vector<CommunityResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].community.center != b[i].community.center ||
-        a[i].community.vertices != b[i].community.vertices ||
-        a[i].community.edges != b[i].community.edges ||
-        a[i].influence.vertices != b[i].influence.vertices ||
-        a[i].influence.cpp != b[i].influence.cpp ||
-        a[i].score() != b[i].score()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Builds one engine over a private copy of the fixed-seed graph (Graph is
 // non-copyable, so each engine regenerates + re-precomputes it).
-std::unique_ptr<Engine> BuildEngine(const Flags& flags, bool cached) {
+std::unique_ptr<Engine> BuildEngine(
+    const std::map<std::string, std::string>& flags, bool cached) {
   SmallWorldOptions gen;
-  gen.num_vertices = flags.vertices;
-  gen.seed = flags.seed;
+  gen.num_vertices = IntFlag(flags, "vertices", 2000);
+  gen.seed = IntFlag(flags, "seed", 42);
   gen.keywords.domain_size = 50;
   gen.keywords.keywords_per_vertex = 3;
   Result<Graph> graph = MakeSmallWorld(gen);
   TOPL_CHECK(graph.ok(), graph.status().ToString().c_str());
 
   PrecomputeOptions pre_opts;
-  pre_opts.r_max = flags.rmax;
+  pre_opts.r_max = static_cast<std::uint32_t>(IntFlag(flags, "rmax", 2));
   Result<PrecomputedData> pre_built = PrecomputedData::Build(*graph, pre_opts);
   TOPL_CHECK(pre_built.ok(), pre_built.status().ToString().c_str());
   auto pre = std::make_unique<PrecomputedData>(std::move(pre_built).value());
@@ -130,9 +59,9 @@ std::unique_ptr<Engine> BuildEngine(const Flags& flags, bool cached) {
   TOPL_CHECK(tree.ok(), tree.status().ToString().c_str());
 
   EngineOptions options;
-  options.num_threads = flags.engine_threads;
+  options.num_threads = IntFlag(flags, "engine-threads", 2);
   options.enable_result_cache = cached;
-  options.cache_max_bytes = flags.cache_max_mb << 20;
+  options.cache_max_bytes = IntFlag(flags, "cache-max-mb", 64) << 20;
   Result<std::unique_ptr<Engine>> engine =
       Engine::Create(std::move(graph).value(), std::move(pre),
                      std::move(tree).value(), options);
@@ -146,26 +75,7 @@ loadgen::WorkloadSpec RepeatHeavySpec(const Engine& engine,
       loadgen::WorkloadSpec::Named("repeat_heavy");
   TOPL_CHECK(spec.ok(), spec.status().ToString().c_str());
   spec->seed = seed;
-  // Same band clamping bench_serve applies: radius within r_max, theta on
-  // the precompute grid (off-grid thetas below θ_min are uncacheable).
-  const PrecomputedData& pre = engine.precomputed();
-  std::vector<std::uint32_t> radii;
-  for (std::uint32_t r : spec->params.radius_values) {
-    if (r >= 1 && r <= pre.r_max()) radii.push_back(r);
-  }
-  if (radii.empty()) radii.push_back(1);
-  spec->params.radius_values = std::move(radii);
-  std::vector<double> thetas;
-  for (double want : spec->params.theta_values) {
-    double best = pre.thetas().front();
-    for (double have : pre.thetas()) {
-      if (std::abs(have - want) < std::abs(best - want)) best = have;
-    }
-    if (std::find(thetas.begin(), thetas.end(), best) == thetas.end()) {
-      thetas.push_back(best);
-    }
-  }
-  spec->params.theta_values = std::move(thetas);
+  spec->FitToIndex(engine.precomputed());
   return std::move(spec).value();
 }
 
@@ -180,7 +90,7 @@ bool VerifyOne(Engine* cached, Engine* uncached, const Query& query,
         uncached->SearchDiversified(query, DTopLOptions());
     if (got.ok() != want.ok()) return false;
     if (!got.ok()) return true;  // both rejected: identical behavior
-    return SameCommunities(got->communities, want->communities) &&
+    return bench::SameCommunities(got->communities, want->communities) &&
            got->diversity_score == want->diversity_score &&
            got->truncated == want->truncated &&
            got->score_upper_bound == want->score_upper_bound;
@@ -189,7 +99,7 @@ bool VerifyOne(Engine* cached, Engine* uncached, const Query& query,
   Result<TopLResult> want = uncached->Search(query);
   if (got.ok() != want.ok()) return false;
   if (!got.ok()) return true;
-  return SameCommunities(got->communities, want->communities) &&
+  return bench::SameCommunities(got->communities, want->communities) &&
          got->truncated == want->truncated &&
          got->score_upper_bound == want->score_upper_bound;
 }
@@ -197,7 +107,23 @@ bool VerifyOne(Engine* cached, Engine* uncached, const Query& query,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"vertices", K::kUint}, {"seed", K::kUint}, {"rmax", K::kUint},
+       {"workers", K::kUint}, {"engine-threads", K::kUint},
+       {"seconds", K::kDouble}, {"warmup-seconds", K::kDouble},
+       {"verify-rounds", K::kUint}, {"verify-queries", K::kUint},
+       {"cache-max-mb", K::kUint}, {"json", K::kString}});
+  const std::uint64_t seed = IntFlag(flags, "seed", 42);
+  const std::size_t workers = IntFlag(flags, "workers", 4);
+  const double seconds = DoubleFlag(flags, "seconds", 3.0);
+  const double warmup_seconds = DoubleFlag(flags, "warmup-seconds", 1.0);
+  const int verify_rounds =
+      static_cast<int>(IntFlag(flags, "verify-rounds", 4));
+  const int verify_queries =
+      static_cast<int>(IntFlag(flags, "verify-queries", 24));
+  const std::string json_path = FlagOr(flags, "json", "BENCH_cache.json");
 
   std::printf("== result cache: cached vs uncached serving, invalidation "
               "exactness witness ==\n");
@@ -208,7 +134,7 @@ int main(int argc, char** argv) {
               cached->graph().NumVertices(), cached->graph().NumEdges(),
               offline.ElapsedSeconds());
 
-  const loadgen::WorkloadSpec spec = RepeatHeavySpec(*cached, flags.seed);
+  const loadgen::WorkloadSpec spec = RepeatHeavySpec(*cached, seed);
   Result<loadgen::WorkloadGenerator> generator =
       loadgen::WorkloadGenerator::Create(spec, cached->graph());
   TOPL_CHECK(generator.ok(), generator.status().ToString().c_str());
@@ -219,14 +145,14 @@ int main(int argc, char** argv) {
   std::uint64_t verified_ops = 0;
   std::uint64_t mismatches = 0;
   std::vector<std::pair<Query, bool>> issued;  // (query, diversified)
-  Rng delta_rng(flags.seed + 7);
+  Rng delta_rng(seed + 7);
   RandomDeltaOptions delta_options;
   delta_options.keyword_domain = 50;
   std::uint64_t op_index = 0;
-  for (int round = 0; round < flags.verify_rounds; ++round) {
+  for (int round = 0; round < verify_rounds; ++round) {
     // Fresh queries this round: fills on the cached engine, plus repeat
     // traffic over everything issued so far (cache hits).
-    for (int qi = 0; qi < flags.verify_queries; ++qi) {
+    for (int qi = 0; qi < verify_queries; ++qi) {
       loadgen::Operation op = generator->At(op_index++);
       while (op.kind == loadgen::OpKind::kUpdate) {  // repeat_heavy has none
         op = generator->At(op_index++);
@@ -262,7 +188,7 @@ int main(int argc, char** argv) {
   std::printf("verify: %llu ops across %d update rounds, %llu mismatches "
               "(%llu hits, %llu misses, %llu invalidated)\n",
               static_cast<unsigned long long>(verified_ops),
-              flags.verify_rounds,
+              verify_rounds,
               static_cast<unsigned long long>(mismatches),
               static_cast<unsigned long long>(verify_stats.cache_hits),
               static_cast<unsigned long long>(verify_stats.cache_misses),
@@ -277,11 +203,11 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------
   auto run = [&](Engine* engine) -> loadgen::LoadReport {
     loadgen::InjectorOptions inject;
-    inject.num_workers = flags.workers;
-    inject.duration_seconds = flags.seconds;
-    if (flags.warmup_seconds > 0.0) {
+    inject.num_workers = workers;
+    inject.duration_seconds = seconds;
+    if (warmup_seconds > 0.0) {
       loadgen::InjectorOptions warmup = inject;
-      warmup.duration_seconds = flags.warmup_seconds;
+      warmup.duration_seconds = warmup_seconds;
       Result<loadgen::LoadReport> ignored =
           loadgen::LoadInjector(engine, *generator, warmup).Run();
       TOPL_CHECK(ignored.ok(), ignored.status().ToString().c_str());
@@ -303,9 +229,9 @@ int main(int argc, char** argv) {
               fast.ops_per_s, fast.overall.p99_ms, 100.0 * fast.hit_rate);
   std::printf("speedup:  %.2fx\n", speedup);
 
-  std::FILE* json = std::fopen(flags.json.c_str(), "w");
+  std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json.c_str());
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
   std::fprintf(json,
@@ -327,6 +253,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(fast.ops_total),
                fast.hit_rate, speedup);
   std::fclose(json);
-  std::printf("wrote %s\n", flags.json.c_str());
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -1,10 +1,12 @@
 #ifndef TOPL_BENCH_BENCH_COMMON_H_
 #define TOPL_BENCH_BENCH_COMMON_H_
 
-// Shared workload construction for the figure-reproduction benchmarks
-// (DESIGN.md §5). Each bench binary builds the graphs + indexes it needs once
-// (cached per process) and then times only the online phase, mirroring the
-// paper's offline/online split.
+// Shared helpers for every bench binary. The figure-reproduction benchmarks
+// (DESIGN.md §5) build the graphs + indexes they need once (cached per
+// process) and then time only the online phase, mirroring the paper's
+// offline/online split. The standalone benches (no google-benchmark) use
+// the population-weighted keyword draw, the field-by-field answer check and
+// ParseBenchFlags over the shared flag parser (tools/flags.h).
 //
 // Environment knobs:
 //   TOPL_BENCH_V     default synthetic vertex count (default 10000)
@@ -23,6 +25,7 @@
 #include <tuple>
 #include <vector>
 
+#include "tools/flags.h"
 #include "topl.h"
 
 namespace topl {
@@ -208,6 +211,37 @@ inline std::vector<KeywordId> MakeQueryKeywordsFromGraph(const Graph& g,
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Field-by-field answer identity in result order: center, member and edge
+/// lists, influenced vertices, cpp values and score.
+inline bool SameCommunities(const std::vector<CommunityResult>& a,
+                            const std::vector<CommunityResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].community.center != b[i].community.center ||
+        a[i].community.vertices != b[i].community.vertices ||
+        a[i].community.edges != b[i].community.edges ||
+        a[i].influence.vertices != b[i].influence.vertices ||
+        a[i].influence.cpp != b[i].influence.cpp ||
+        a[i].score() != b[i].score()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Parses a standalone bench's argv against `known`. An unknown flag or a
+/// malformed value prints the Status and exits 2 before anything is built.
+inline std::map<std::string, std::string> ParseBenchFlags(
+    int argc, char** argv, const FlagTable& known) {
+  std::map<std::string, std::string> flags;
+  const Status parsed = ParseFlags(argc, argv, 1, known, &flags);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    std::exit(2);
+  }
+  return flags;
 }
 
 /// Default query with population-weighted keywords from the workload graph.

@@ -9,8 +9,8 @@
 // number is reported the bench proves the four stacks are interchangeable:
 //
 //   exact:     {in-memory, raw mmap, compressed mmap} of one labeling answer
-//              every probe query bit-identically (scores compared as bit
-//              patterns, member lists in result order);
+//              every probe query identically, field by field in result
+//              order (bench::SameCommunities);
 //   canonical: identity vs reordered answers match after unmapping internal
 //              ids through the stored permutation (equal-score communities
 //              may legally reorder, so lists are compared as sorted sets).
@@ -43,16 +43,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
@@ -104,21 +102,6 @@ std::vector<Query> ProbeQueries(std::uint32_t r_max) {
     queries.push_back(std::move(q));
   }
   return queries;
-}
-
-/// Bit-exact fingerprint of a result list in result order. Two engines over
-/// the *same labeling* must produce identical fingerprints.
-using ExactAnswer =
-    std::vector<std::tuple<VertexId, std::uint64_t, std::vector<VertexId>>>;
-
-ExactAnswer ExactFingerprint(const std::vector<CommunityResult>& communities) {
-  ExactAnswer out;
-  out.reserve(communities.size());
-  for (const CommunityResult& c : communities) {
-    out.emplace_back(c.community.center, std::bit_cast<std::uint64_t>(c.score()),
-                     c.community.vertices);
-  }
-  return out;
 }
 
 /// Labeling-invariant fingerprint: (score bits, sorted external members),
@@ -185,41 +168,6 @@ double MeasureServingRssMb(const std::string& path, const Query& query) {
   waitpid(pid, &status, 0);
   if (got != static_cast<ssize_t>(sizeof(delta_kb))) return 0.0;
   return static_cast<double>(delta_kb) / 1024.0;
-}
-
-bool ParseFlags(int argc, char** argv,
-                std::map<std::string, std::string>* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return false;
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      (*flags)[arg.substr(2)] = "1";
-    } else {
-      (*flags)[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return true;
-}
-
-std::uint64_t IntFlag(const std::map<std::string, std::string>& flags,
-                      const std::string& key, std::uint64_t fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback
-                           : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-std::vector<std::size_t> ParseSizes(const std::string& csv) {
-  std::vector<std::size_t> sizes;
-  std::size_t start = 0;
-  while (start < csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string token = csv.substr(start, comma - start);
-    if (!token.empty()) sizes.push_back(std::strtoull(token.c_str(), nullptr, 10));
-    start = comma + 1;
-  }
-  return sizes;
 }
 
 /// Runs the whole pipeline for one size. Returns report.ok == false (after
@@ -373,7 +321,7 @@ SizeReport RunSize(std::size_t vertices, std::uint32_t r_max,
     CanonicalAnswer canonical[2];
     int group = 0;
     for (const auto* stacks : {identity_stacks, reordered_stacks}) {
-      ExactAnswer exact;
+      std::vector<CommunityResult> exact;
       for (int si = 0; si < 3; ++si) {
         const Stack& stack = stacks[si];
         Result<TopLResult> answer = stack.engine->Search(q);
@@ -382,12 +330,11 @@ SizeReport RunSize(std::size_t vertices, std::uint32_t r_max,
                        qi, stack.name, answer.status().ToString().c_str());
           return report;
         }
-        const ExactAnswer fingerprint = ExactFingerprint(answer->communities);
         if (si == 0) {
-          exact = fingerprint;
+          exact = answer->communities;
           canonical[group] =
               CanonicalFingerprint(answer->communities, *stack.external_ids);
-        } else if (fingerprint != exact) {
+        } else if (!bench::SameCommunities(answer->communities, exact)) {
           std::fprintf(stderr,
                        "[%s] DIVERGENCE: query %zu answers differ between %s "
                        "and %s (same labeling — must be bit-identical)\n",
@@ -433,20 +380,16 @@ SizeReport RunSize(std::size_t vertices, std::uint32_t r_max,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  if (!ParseFlags(argc, argv, &flags)) {
-    std::fprintf(stderr,
-                 "usage: bench_fig3h_scalability [--sizes=N,N,...] [--rmax=R] "
-                 "[--seed=S] [--repeat=K] [--json=FILE] [--dir=DIR] "
-                 "[--threads=T]\n");
-    return 2;
-  }
-  const char* full_env = std::getenv("TOPL_BENCH_FULL");
-  const bool full = full_env != nullptr && std::strcmp(full_env, "1") == 0;
-  std::vector<std::size_t> sizes =
-      full ? std::vector<std::size_t>{100000, 250000, 1000000}
-           : std::vector<std::size_t>{100000};
-  if (flags.count("sizes")) sizes = ParseSizes(flags.at("sizes"));
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"sizes", K::kUintList}, {"rmax", K::kUint}, {"seed", K::kUint},
+       {"repeat", K::kUint}, {"json", K::kString}, {"dir", K::kString},
+       {"threads", K::kUint}});
+  const std::vector<std::uint64_t> sizes = UintListFlag(
+      flags, "sizes",
+      bench::FullScale() ? std::vector<std::uint64_t>{100000, 250000, 1000000}
+                         : std::vector<std::uint64_t>{100000});
   if (sizes.empty()) {
     std::fprintf(stderr, "no sizes to run\n");
     return 2;
@@ -456,13 +399,11 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = IntFlag(flags, "seed", 42);
   const int repeat = static_cast<int>(IntFlag(flags, "repeat", 3));
   const std::size_t threads = IntFlag(flags, "threads", 0);
-  const std::string json_path =
-      flags.count("json") ? flags.at("json") : "BENCH_scale.json";
-  const std::string dir =
-      flags.count("dir")
-          ? flags.at("dir")
-          : (std::filesystem::temp_directory_path() /
-             ("topl_scale_" + std::to_string(::getpid()))).string();
+  const std::string json_path = FlagOr(flags, "json", "BENCH_scale.json");
+  const std::string dir = FlagOr(
+      flags, "dir",
+      (std::filesystem::temp_directory_path() /
+       ("topl_scale_" + std::to_string(::getpid()))).string());
   std::filesystem::create_directories(dir);
 
   std::vector<SizeReport> reports;

@@ -4,9 +4,9 @@
 // synthetic graph.
 //
 // Every parallel run's answers are compared field-by-field (centers, member
-// lists, influenced vertices, cpp values, scores) against the sequential
-// answers: the pipeline contract is that parallelism changes wall-clock,
-// never results, and this benchmark doubles as the enforcement point — it
+// and edge lists, influenced vertices, cpp values, scores) against the
+// sequential answers: the pipeline contract is that parallelism changes
+// wall-clock, never results, and this benchmark doubles as the enforcement point — it
 // exits non-zero on any mismatch.
 //
 //   bench_parallel_query [--vertices=8000] [--seed=42] [--rmax=2]
@@ -19,103 +19,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
-
-struct Flags {
-  std::size_t vertices = 8000;
-  std::uint64_t seed = 42;
-  std::uint32_t rmax = 2;
-  std::size_t num_queries = 8;
-  int repeat = 3;
-  std::uint32_t chunk = 8;
-  std::vector<std::size_t> threads = {1, 2, 4, 8};
-  std::string json = "BENCH_parallel_query.json";
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "vertices") {
-      flags.vertices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "rmax") {
-      flags.rmax = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "queries") {
-      flags.num_queries = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "repeat") {
-      flags.repeat = std::atoi(value.c_str());
-    } else if (key == "chunk") {
-      flags.chunk = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "json") {
-      flags.json = value;
-    } else if (key == "threads") {
-      flags.threads.clear();
-      std::size_t pos = 0;
-      while (pos < value.size()) {
-        flags.threads.push_back(std::strtoull(value.c_str() + pos, nullptr, 10));
-        const std::size_t comma = value.find(',', pos);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
-// Population-weighted query keywords (uniform domain draws often match
-// nobody), deterministic per seed; mirrors bench_common.h.
-std::vector<KeywordId> QueryKeywords(const Graph& g, std::uint32_t count,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<KeywordId> out;
-  for (int guard = 0; out.size() < count && guard < 100000; ++guard) {
-    const VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-    const auto kws = g.Keywords(v);
-    if (kws.empty()) continue;
-    const KeywordId w = kws[rng.NextBounded(kws.size())];
-    if (std::find(out.begin(), out.end(), w) == out.end()) out.push_back(w);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool SameCommunities(const std::vector<CommunityResult>& a,
-                     const std::vector<CommunityResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].community.center != b[i].community.center ||
-        a[i].community.vertices != b[i].community.vertices ||
-        a[i].influence.vertices != b[i].influence.vertices ||
-        a[i].influence.cpp != b[i].influence.cpp ||
-        a[i].score() != b[i].score()) {
-      return false;
-    }
-  }
-  return true;
-}
 
 struct RunResult {
   std::size_t threads = 0;
@@ -129,13 +41,28 @@ struct RunResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"vertices", K::kUint}, {"seed", K::kUint}, {"rmax", K::kUint},
+       {"queries", K::kUint}, {"repeat", K::kUint}, {"chunk", K::kUint},
+       {"threads", K::kUintList}, {"json", K::kString}});
+  const std::size_t vertices = IntFlag(flags, "vertices", 8000);
+  const std::uint64_t seed = IntFlag(flags, "seed", 42);
+  const auto rmax = static_cast<std::uint32_t>(IntFlag(flags, "rmax", 2));
+  const std::size_t num_queries = IntFlag(flags, "queries", 8);
+  const int repeat = static_cast<int>(IntFlag(flags, "repeat", 3));
+  const auto chunk = static_cast<std::uint32_t>(IntFlag(flags, "chunk", 8));
+  const std::vector<std::uint64_t> thread_counts =
+      UintListFlag(flags, "threads", {1, 2, 4, 8});
+  const std::string json_path =
+      FlagOr(flags, "json", "BENCH_parallel_query.json");
 
   std::printf("== parallel single-query scoring: sequential detector vs "
               "intra-query chunked refinement ==\n");
   SmallWorldOptions gen;
-  gen.num_vertices = flags.vertices;
-  gen.seed = flags.seed;
+  gen.num_vertices = vertices;
+  gen.seed = seed;
   gen.keywords.domain_size = 50;
   gen.keywords.keywords_per_vertex = 3;
   Result<Graph> graph = MakeSmallWorld(gen);
@@ -143,7 +70,7 @@ int main(int argc, char** argv) {
 
   Timer offline;
   PrecomputeOptions pre_opts;
-  pre_opts.r_max = flags.rmax;
+  pre_opts.r_max = rmax;
   Result<PrecomputedData> pre_built = PrecomputedData::Build(*graph, pre_opts);
   TOPL_CHECK(pre_built.ok(), pre_built.status().ToString().c_str());
   auto pre = std::make_unique<PrecomputedData>(std::move(pre_built).value());
@@ -153,11 +80,11 @@ int main(int argc, char** argv) {
               graph->NumVertices(), graph->NumEdges(), offline.ElapsedSeconds());
 
   std::vector<Query> queries;
-  for (std::size_t i = 0; i < flags.num_queries; ++i) {
+  for (std::size_t i = 0; i < num_queries; ++i) {
     Query q;
-    q.keywords = QueryKeywords(*graph, 5, flags.seed + i + 1);
+    q.keywords = bench::MakeQueryKeywordsFromGraph(*graph, 5, seed + i + 1);
     q.k = 4;
-    q.radius = std::min<std::uint32_t>(2, flags.rmax);
+    q.radius = std::min<std::uint32_t>(2, rmax);
     q.theta = 0.2;
     q.top_l = 5;
     queries.push_back(std::move(q));
@@ -171,7 +98,7 @@ int main(int argc, char** argv) {
   sequential.threads = 1;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     double best = 0.0;
-    for (int rep = 0; rep < flags.repeat; ++rep) {
+    for (int rep = 0; rep < repeat; ++rep) {
       Timer timer;
       Result<TopLResult> result = reference.Search(queries[i]);
       const double elapsed = timer.ElapsedSeconds();
@@ -196,7 +123,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> runs;
   bool all_exact = true;
   double first_update_seconds = -1.0;
-  for (std::size_t threads : flags.threads) {
+  for (std::size_t threads : thread_counts) {
     auto pre_copy = std::make_unique<PrecomputedData>(*pre);
     Result<TreeIndex> tree_copy = TreeIndex::Build(*graph, *pre_copy);
     TOPL_CHECK(tree_copy.ok(), tree_copy.status().ToString().c_str());
@@ -211,13 +138,13 @@ int main(int argc, char** argv) {
 
     ProgressiveOptions prog;
     prog.parallel = true;
-    prog.chunk_size = flags.chunk;
+    prog.chunk_size = chunk;
 
     RunResult run;
     run.threads = threads;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       double best = 0.0;
-      for (int rep = 0; rep < flags.repeat; ++rep) {
+      for (int rep = 0; rep < repeat; ++rep) {
         Timer timer;
         Result<TopLResult> result = (*engine)->SearchProgressive(queries[i], prog);
         const double elapsed = timer.ElapsedSeconds();
@@ -225,7 +152,8 @@ int main(int argc, char** argv) {
         if (rep == 0 || elapsed < best) best = elapsed;
         if (rep == 0) {
           run.candidates_refined += result->stats.candidates_refined;
-          if (!SameCommunities(result->communities, expected[i].communities) ||
+          if (!bench::SameCommunities(result->communities,
+                                      expected[i].communities) ||
               result->truncated) {
             run.exact_match = false;
             all_exact = false;
@@ -248,7 +176,7 @@ int main(int argc, char** argv) {
 
     // Anytime responsiveness at the widest configuration: wall-clock until
     // the first progressive update lands vs the full query.
-    if (threads == flags.threads.back()) {
+    if (threads == thread_counts.back()) {
       Timer timer;
       double first = -1.0;
       Result<TopLResult> result = (*engine)->SearchProgressive(
@@ -261,9 +189,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* json = std::fopen(flags.json.c_str(), "w");
+  std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json.c_str());
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
   std::fprintf(json,
@@ -277,7 +205,7 @@ int main(int argc, char** argv) {
                "%.3f, \"candidates_refined\": %llu},\n"
                "  \"first_update_seconds\": %.6f,\n"
                "  \"runs\": [\n",
-               flags.vertices, static_cast<unsigned long long>(flags.seed),
+               vertices, static_cast<unsigned long long>(seed),
                queries.size(), all_exact ? "true" : "false",
                sequential.total_seconds, sequential.queries_per_s,
                static_cast<unsigned long long>(sequential.candidates_refined),
@@ -295,6 +223,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
-  std::printf("wrote %s\n", flags.json.c_str());
+  std::printf("wrote %s\n", json_path.c_str());
   return all_exact ? 0 : 1;
 }

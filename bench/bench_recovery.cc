@@ -11,9 +11,10 @@
 //
 // After recovery the binary answers the same query battery on the recovered
 // engine and on the live engine that acknowledged the updates; any
-// field-level mismatch (centers, member lists, scores) makes it exit
-// non-zero — the benchmark doubles as the divergence witness for the
-// journal contract: a crash-recovered engine serves byte-identical answers.
+// field-level mismatch (centers, member and edge lists, influenced
+// vertices, cpp values, scores) makes it exit non-zero — the benchmark
+// doubles as the divergence witness for the journal contract: a
+// crash-recovered engine serves byte-identical answers.
 //
 //   bench_recovery [--vertices=1000] [--seed=42] [--rmax=2] [--deltas=50]
 //                  [--appends=1000] [--ops=4] [--queries=4]
@@ -25,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -34,99 +34,35 @@
 
 #include <unistd.h>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
 
-struct Flags {
-  std::size_t vertices = 1000;
-  std::uint64_t seed = 42;
-  std::uint32_t rmax = 2;
-  int deltas = 50;
-  int appends = 1000;
-  int ops = 4;
-  int queries = 4;
-  std::string json = "BENCH_recovery.json";
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "vertices") {
-      flags.vertices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "rmax") {
-      flags.rmax =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "deltas") {
-      flags.deltas = std::atoi(value.c_str());
-    } else if (key == "appends") {
-      flags.appends = std::atoi(value.c_str());
-    } else if (key == "ops") {
-      flags.ops = std::atoi(value.c_str());
-    } else if (key == "queries") {
-      flags.queries = std::atoi(value.c_str());
-    } else if (key == "json") {
-      flags.json = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
-// Population-weighted query keywords, deterministic per seed.
-std::vector<KeywordId> QueryKeywords(const Graph& g, std::uint32_t count,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<KeywordId> out;
-  for (int guard = 0; out.size() < count && guard < 100000; ++guard) {
-    const VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-    const auto kws = g.Keywords(v);
-    if (kws.empty()) continue;
-    const KeywordId w = kws[rng.NextBounded(kws.size())];
-    if (std::find(out.begin(), out.end(), w) == out.end()) out.push_back(w);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool SameCommunities(const std::vector<CommunityResult>& a,
-                     const std::vector<CommunityResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].community.center != b[i].community.center ||
-        a[i].community.vertices != b[i].community.vertices ||
-        a[i].community.edges != b[i].community.edges ||
-        a[i].score() != b[i].score()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"vertices", K::kUint}, {"seed", K::kUint}, {"rmax", K::kUint},
+       {"deltas", K::kUint}, {"appends", K::kUint}, {"ops", K::kUint},
+       {"queries", K::kUint}, {"json", K::kString}});
+  const std::size_t vertices = IntFlag(flags, "vertices", 1000);
+  const std::uint64_t seed = IntFlag(flags, "seed", 42);
+  const auto rmax = static_cast<std::uint32_t>(IntFlag(flags, "rmax", 2));
+  const int num_deltas = static_cast<int>(IntFlag(flags, "deltas", 50));
+  const int appends = static_cast<int>(IntFlag(flags, "appends", 1000));
+  const int ops = static_cast<int>(IntFlag(flags, "ops", 4));
+  const int queries = static_cast<int>(IntFlag(flags, "queries", 4));
+  const std::string json_path = FlagOr(flags, "json", "BENCH_recovery.json");
 
   std::printf("== durability: journal append / journaled updates / recovery "
               "replay ==\n");
   SmallWorldOptions gen;
-  gen.num_vertices = flags.vertices;
-  gen.seed = flags.seed;
+  gen.num_vertices = vertices;
+  gen.seed = seed;
   gen.keywords.domain_size = 50;
   gen.keywords.keywords_per_vertex = 3;
   Result<Graph> built = MakeSmallWorld(gen);
@@ -142,7 +78,7 @@ int main(int argc, char** argv) {
 
   {
     PrecomputeOptions pre_opts;
-    pre_opts.r_max = flags.rmax;
+    pre_opts.r_max = rmax;
     Result<PrecomputedData> pre = PrecomputedData::Build(graph, pre_opts);
     TOPL_CHECK(pre.ok(), pre.status().ToString().c_str());
     Result<TreeIndex> tree = TreeIndex::Build(graph, *pre);
@@ -158,12 +94,12 @@ int main(int argc, char** argv) {
   std::vector<GraphDelta> deltas;
   {
     RandomDeltaOptions delta_options;
-    delta_options.num_ops = flags.ops;
+    delta_options.num_ops = ops;
     delta_options.keyword_domain = gen.keywords.domain_size;
     std::unique_ptr<Graph> evolved;
     const Graph* current = &graph;
-    Rng rng(flags.seed + 1);
-    while (deltas.size() < static_cast<std::size_t>(flags.deltas)) {
+    Rng rng(seed + 1);
+    while (deltas.size() < static_cast<std::size_t>(num_deltas)) {
       GraphDelta d = MakeRandomDelta(*current, rng, delta_options);
       if (d.empty()) continue;
       Result<Graph> next = ApplyDelta(*current, d);
@@ -183,7 +119,7 @@ int main(int argc, char** argv) {
     Result<std::unique_ptr<UpdateJournal>> journal = UpdateJournal::Open(path);
     TOPL_CHECK(journal.ok(), journal.status().ToString().c_str());
     Timer timer;
-    for (int i = 0; i < flags.appends; ++i) {
+    for (int i = 0; i < appends; ++i) {
       const Status appended =
           (*journal)->Append(deltas[static_cast<std::size_t>(i) %
                                     deltas.size()]);
@@ -193,9 +129,9 @@ int main(int argc, char** argv) {
     append_bytes = std::filesystem::file_size(path);
   }
   const double appends_per_s =
-      append_seconds > 0.0 ? flags.appends / append_seconds : 0.0;
+      append_seconds > 0.0 ? appends / append_seconds : 0.0;
   std::printf("journal append: %d records in %.3fs (%.0f ops/s, %llu bytes)\n",
-              flags.appends, append_seconds, appends_per_s,
+              appends, append_seconds, appends_per_s,
               static_cast<unsigned long long>(append_bytes));
 
   // Phase 2: the live journaled update path — what a serving engine pays per
@@ -213,9 +149,9 @@ int main(int argc, char** argv) {
   }
   const double apply_seconds = apply_timer.ElapsedSeconds();
   const double apply_per_s =
-      apply_seconds > 0.0 ? flags.deltas / apply_seconds : 0.0;
+      apply_seconds > 0.0 ? num_deltas / apply_seconds : 0.0;
   std::printf("journaled updates: %d deltas in %.3fs (%.1f updates/s)\n",
-              flags.deltas, apply_seconds, apply_per_s);
+              num_deltas, apply_seconds, apply_per_s);
 
   // Phase 3: crash recovery — a fresh engine over the untouched artifact +
   // journal replays every record.
@@ -227,9 +163,9 @@ int main(int argc, char** argv) {
   TOPL_CHECK(info.records_replayed == deltas.size(),
              "recovery did not replay every journal record");
   const double recovery_per_s =
-      recovery_seconds > 0.0 ? flags.deltas / recovery_seconds : 0.0;
+      recovery_seconds > 0.0 ? num_deltas / recovery_seconds : 0.0;
   const double ms_per_1k =
-      recovery_seconds * 1000.0 * (1000.0 / flags.deltas);
+      recovery_seconds * 1000.0 * (1000.0 / num_deltas);
   std::printf("recovery: %llu records in %.3fs (%.1f updates/s, "
               "%.0f ms per 1k deltas)\n",
               static_cast<unsigned long long>(info.records_replayed),
@@ -238,17 +174,17 @@ int main(int argc, char** argv) {
   // Divergence witness: recovered answers vs the live engine that
   // acknowledged the stream, field by field.
   bool exact = true;
-  for (int qi = 0; qi < flags.queries; ++qi) {
+  for (int qi = 0; qi < queries; ++qi) {
     Query q;
-    q.keywords = QueryKeywords(graph, 5, flags.seed + 100 + qi);
+    q.keywords = bench::MakeQueryKeywordsFromGraph(graph, 5, seed + 100 + qi);
     q.k = 4;
-    q.radius = std::min<std::uint32_t>(2, flags.rmax);
+    q.radius = std::min<std::uint32_t>(2, rmax);
     q.theta = 0.2;
     q.top_l = 5;
     Result<TopLResult> got = (*recovered)->Search(q);
     Result<TopLResult> want = (*live)->Search(q);
     TOPL_CHECK(got.ok() && want.ok(), "witness query failed");
-    if (!SameCommunities(got->communities, want->communities)) {
+    if (!bench::SameCommunities(got->communities, want->communities)) {
       exact = false;
       std::fprintf(stderr,
                    "MISMATCH: query %d diverges between recovered and live "
@@ -256,12 +192,12 @@ int main(int argc, char** argv) {
                    qi);
     }
   }
-  std::printf("divergence witness: %d queries, %s\n", flags.queries,
+  std::printf("divergence witness: %d queries, %s\n", queries,
               exact ? "exact" : "MISMATCH");
 
-  std::FILE* json = std::fopen(flags.json.c_str(), "w");
+  std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json.c_str());
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
   std::fprintf(
@@ -280,15 +216,15 @@ int main(int argc, char** argv) {
       "               \"updates_per_s\": %.3f, \"ms_per_1k_deltas\": %.3f,\n"
       "               \"torn_bytes_discarded\": %llu}\n"
       "}\n",
-      flags.vertices, static_cast<unsigned long long>(flags.seed), flags.deltas,
-      flags.ops, exact ? "true" : "false", flags.appends, append_seconds,
+      vertices, static_cast<unsigned long long>(seed), num_deltas,
+      ops, exact ? "true" : "false", appends, append_seconds,
       appends_per_s, static_cast<unsigned long long>(append_bytes),
       apply_seconds, apply_per_s,
       static_cast<unsigned long long>(info.records_replayed), recovery_seconds,
       recovery_per_s, ms_per_1k,
       static_cast<unsigned long long>(info.torn_bytes_discarded));
   std::fclose(json);
-  std::printf("wrote %s\n", flags.json.c_str());
+  std::printf("wrote %s\n", json_path.c_str());
 
   std::filesystem::remove_all(dir);
   return exact ? 0 : 1;

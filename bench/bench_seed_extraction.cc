@@ -21,77 +21,15 @@
 // (per-path latency, verifications/s, speedup, substrate counters) consumed
 // by the CI regression gate.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
-
-struct Flags {
-  std::size_t vertices = 8000;
-  std::uint64_t seed = 42;
-  std::size_t centers = 800;
-  std::uint32_t ring = 22;
-  std::uint32_t query_keywords = 18;
-  int repeat = 3;
-  std::string json = "BENCH_seed_extraction.json";
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "vertices") {
-      flags.vertices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "centers") {
-      flags.centers = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "ring") {
-      flags.ring = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "query-keywords") {
-      flags.query_keywords =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "repeat") {
-      flags.repeat = std::atoi(value.c_str());
-    } else if (key == "json") {
-      flags.json = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
-// Population-weighted query keywords, deterministic per seed.
-std::vector<KeywordId> QueryKeywords(const Graph& g, std::uint32_t count,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<KeywordId> out;
-  for (int guard = 0; out.size() < count && guard < 100000; ++guard) {
-    const VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-    const auto kws = g.Keywords(v);
-    if (kws.empty()) continue;
-    const KeywordId w = kws[rng.NextBounded(kws.size())];
-    if (std::find(out.begin(), out.end(), w) == out.end()) out.push_back(w);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 struct Config {
   Query query;
@@ -106,7 +44,21 @@ struct PathTotals {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"vertices", K::kUint}, {"seed", K::kUint}, {"centers", K::kUint},
+       {"ring", K::kUint}, {"query-keywords", K::kUint}, {"repeat", K::kUint},
+       {"json", K::kString}});
+  const std::size_t vertices = IntFlag(flags, "vertices", 8000);
+  const std::uint64_t seed = IntFlag(flags, "seed", 42);
+  const std::size_t max_centers = IntFlag(flags, "centers", 800);
+  const auto ring = static_cast<std::uint32_t>(IntFlag(flags, "ring", 22));
+  const auto query_keywords =
+      static_cast<std::uint32_t>(IntFlag(flags, "query-keywords", 18));
+  const int repeat = static_cast<int>(IntFlag(flags, "repeat", 3));
+  const std::string json_path =
+      FlagOr(flags, "json", "BENCH_seed_extraction.json");
 
   std::printf("== candidate verification: incremental triangle substrate vs "
               "from-scratch reference ==\n");
@@ -117,9 +69,9 @@ int main(int argc, char** argv) {
   // survives index pruning. Sparser defaults still favor the substrate
   // (1.1–1.6x) but measure mostly the shared materialization.
   SmallWorldOptions gen;
-  gen.num_vertices = flags.vertices;
-  gen.seed = flags.seed;
-  gen.ring_neighbors = flags.ring;
+  gen.num_vertices = vertices;
+  gen.seed = seed;
+  gen.ring_neighbors = ring;
   gen.keywords.domain_size = 50;
   gen.keywords.keywords_per_vertex = 3;
   Result<Graph> built = MakeSmallWorld(gen);
@@ -140,11 +92,11 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < std::size(kGrid); ++c) {
     Config config;
     config.query.keywords =
-        QueryKeywords(graph, flags.query_keywords, flags.seed + 31 * c);
+        bench::MakeQueryKeywordsFromGraph(graph, query_keywords, seed + 31 * c);
     config.query.k = kGrid[c].k;
     config.query.radius = kGrid[c].r;
     for (VertexId v = static_cast<VertexId>(c);
-         v < graph.NumVertices() && config.centers.size() < flags.centers;
+         v < graph.NumVertices() && config.centers.size() < max_centers;
          v += 3) {
       if (HopExtractor::HasAnyKeyword(graph, v, config.query.keywords)) {
         config.centers.push_back(v);
@@ -203,7 +155,7 @@ int main(int argc, char** argv) {
       // cache-warmup stalls, so the committed speedup floor gates the
       // algorithm, not runner jitter.
       double ref_best = 0.0;
-      for (int rep = 0; rep < flags.repeat; ++rep) {
+      for (int rep = 0; rep < repeat; ++rep) {
         Timer ref_timer;
         reference.Verify(ball, query, SeedCommunityExtractor::Mode::kReference,
                          &want);
@@ -214,7 +166,7 @@ int main(int argc, char** argv) {
       ++ref.extractions;
 
       double inc_best = 0.0;
-      for (int rep = 0; rep < flags.repeat; ++rep) {
+      for (int rep = 0; rep < repeat; ++rep) {
         Timer inc_timer;
         const bool found = incremental.Verify(
             ball, query, SeedCommunityExtractor::Mode::kIncremental, &got);
@@ -268,9 +220,9 @@ int main(int argc, char** argv) {
               end_to_end_inc, end_to_end_ref, e2e_speedup,
               all_exact ? "yes" : "NO");
 
-  std::FILE* json = std::fopen(flags.json.c_str(), "w");
+  std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json.c_str());
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
   std::fprintf(
@@ -290,7 +242,7 @@ int main(int argc, char** argv) {
       "  \"end_to_end\": {\"incremental_seconds\": %.6f,\n"
       "                 \"reference_seconds\": %.6f, \"speedup\": %.3f}\n"
       "}\n",
-      flags.vertices, static_cast<unsigned long long>(flags.seed), flags.repeat,
+      vertices, static_cast<unsigned long long>(seed), repeat,
       all_exact ? "true" : "false",
       static_cast<unsigned long long>(communities), inc.seconds,
       inc.seconds > 0.0 ? static_cast<double>(inc.extractions) / inc.seconds : 0.0,
@@ -299,6 +251,6 @@ int main(int argc, char** argv) {
       ref.seconds > 0.0 ? static_cast<double>(ref.extractions) / ref.seconds : 0.0,
       speedup, end_to_end_inc, end_to_end_ref, e2e_speedup);
   std::fclose(json);
-  std::printf("wrote %s\n", flags.json.c_str());
+  std::printf("wrote %s\n", json_path.c_str());
   return all_exact ? 0 : 1;
 }

@@ -18,92 +18,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "topl.h"
+#include "bench/bench_common.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
-
-struct Flags {
-  std::size_t vertices = 8000;
-  std::uint64_t seed = 42;
-  std::uint32_t rmax = 2;
-  int updates = 6;
-  int ops = 4;
-  int queries = 4;
-  std::string json = "BENCH_updates.json";
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "vertices") {
-      flags.vertices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "rmax") {
-      flags.rmax = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "updates") {
-      flags.updates = std::atoi(value.c_str());
-    } else if (key == "ops") {
-      flags.ops = std::atoi(value.c_str());
-    } else if (key == "queries") {
-      flags.queries = std::atoi(value.c_str());
-    } else if (key == "json") {
-      flags.json = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
-// Population-weighted query keywords, deterministic per seed.
-std::vector<KeywordId> QueryKeywords(const Graph& g, std::uint32_t count,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<KeywordId> out;
-  for (int guard = 0; out.size() < count && guard < 100000; ++guard) {
-    const VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-    const auto kws = g.Keywords(v);
-    if (kws.empty()) continue;
-    const KeywordId w = kws[rng.NextBounded(kws.size())];
-    if (std::find(out.begin(), out.end(), w) == out.end()) out.push_back(w);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool SameCommunities(const std::vector<CommunityResult>& a,
-                     const std::vector<CommunityResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].community.center != b[i].community.center ||
-        a[i].community.vertices != b[i].community.vertices ||
-        a[i].community.edges != b[i].community.edges ||
-        a[i].influence.vertices != b[i].influence.vertices ||
-        a[i].influence.cpp != b[i].influence.cpp ||
-        a[i].score() != b[i].score()) {
-      return false;
-    }
-  }
-  return true;
-}
 
 struct Offline {
   std::unique_ptr<PrecomputedData> pre;
@@ -124,13 +48,25 @@ Offline BuildOffline(const Graph& g, const PrecomputeOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
+  using K = FlagKind;
+  const auto flags = bench::ParseBenchFlags(
+      argc, argv,
+      {{"vertices", K::kUint}, {"seed", K::kUint}, {"rmax", K::kUint},
+       {"updates", K::kUint}, {"ops", K::kUint}, {"queries", K::kUint},
+       {"json", K::kString}});
+  const std::size_t vertices = IntFlag(flags, "vertices", 8000);
+  const std::uint64_t seed = IntFlag(flags, "seed", 42);
+  const auto rmax = static_cast<std::uint32_t>(IntFlag(flags, "rmax", 2));
+  const int updates = static_cast<int>(IntFlag(flags, "updates", 6));
+  const int ops = static_cast<int>(IntFlag(flags, "ops", 4));
+  const int queries = static_cast<int>(IntFlag(flags, "queries", 4));
+  const std::string json_path = FlagOr(flags, "json", "BENCH_updates.json");
 
   std::printf("== dynamic updates: incremental maintenance (IndexUpdater) vs "
               "full offline rebuild ==\n");
   SmallWorldOptions gen;
-  gen.num_vertices = flags.vertices;
-  gen.seed = flags.seed;
+  gen.num_vertices = vertices;
+  gen.seed = seed;
   gen.keywords.domain_size = 50;
   gen.keywords.keywords_per_vertex = 3;
   Result<Graph> built = MakeSmallWorld(gen);
@@ -138,7 +74,7 @@ int main(int argc, char** argv) {
   Graph graph = std::move(built).value();
 
   PrecomputeOptions pre_opts;
-  pre_opts.r_max = flags.rmax;
+  pre_opts.r_max = rmax;
 
   Timer offline_timer;
   Offline incremental = BuildOffline(graph, pre_opts);
@@ -147,10 +83,10 @@ int main(int argc, char** argv) {
               graph.NumVertices(), graph.NumEdges(), offline_seconds);
 
   ThreadPool pool(0);
-  Rng rng(flags.seed + 1);
+  Rng rng(seed + 1);
   // The same update distribution the dynamic_update_test sweep enforces.
   RandomDeltaOptions delta_options;
-  delta_options.num_ops = flags.ops;
+  delta_options.num_ops = ops;
   delta_options.keyword_domain = gen.keywords.domain_size;
   bool all_exact = true;
   double incremental_seconds = 0.0;
@@ -160,7 +96,7 @@ int main(int argc, char** argv) {
 
   std::printf("%8s %10s %12s %12s %9s %10s %8s\n", "update", "ops",
               "incr(s)", "rebuild(s)", "speedup", "dirty", "exact");
-  for (int u = 0; u < flags.updates; ++u) {
+  for (int u = 0; u < updates; ++u) {
     const GraphDelta delta = MakeRandomDelta(graph, rng, delta_options);
 
     Timer incr_timer;
@@ -184,22 +120,25 @@ int main(int argc, char** argv) {
     TopLDetector full_topl(graph, *rebuilt.pre, rebuilt.tree);
     DTopLDetector incr_dtopl(graph, *incremental.pre, incremental.tree);
     DTopLDetector full_dtopl(graph, *rebuilt.pre, rebuilt.tree);
-    for (int qi = 0; qi < flags.queries; ++qi) {
+    for (int qi = 0; qi < queries; ++qi) {
       Query q;
-      q.keywords = QueryKeywords(graph, 5, flags.seed + 100 * u + qi);
+      q.keywords =
+          bench::MakeQueryKeywordsFromGraph(graph, 5, seed + 100 * u + qi);
       q.k = 4;
-      q.radius = std::min<std::uint32_t>(2, flags.rmax);
+      q.radius = std::min<std::uint32_t>(2, rmax);
       q.theta = 0.2;
       q.top_l = 5;
       Result<TopLResult> got = incr_topl.Search(q);
       Result<TopLResult> want = full_topl.Search(q);
       TOPL_CHECK(got.ok() && want.ok(), "query failed");
-      if (!SameCommunities(got->communities, want->communities)) exact = false;
+      if (!bench::SameCommunities(got->communities, want->communities)) {
+        exact = false;
+      }
       if (qi == 0) {
         Result<DTopLResult> got_d = incr_dtopl.Search(q);
         Result<DTopLResult> want_d = full_dtopl.Search(q);
         TOPL_CHECK(got_d.ok() && want_d.ok(), "dtopl query failed");
-        if (!SameCommunities(got_d->communities, want_d->communities) ||
+        if (!bench::SameCommunities(got_d->communities, want_d->communities) ||
             got_d->diversity_score != want_d->diversity_score) {
           exact = false;
         }
@@ -224,15 +163,15 @@ int main(int argc, char** argv) {
                              : 0.0;
   const double avoided =
       1.0 - static_cast<double>(dirty_total) /
-                (static_cast<double>(flags.updates) *
+                (static_cast<double>(updates) *
                  static_cast<double>(graph.NumVertices()));
   std::printf("total: incremental %.3fs, rebuild %.3fs, speedup %.2fx, "
               "rebuild avoided %.1f%%\n",
               incremental_seconds, rebuild_seconds, speedup, avoided * 100.0);
 
-  std::FILE* json = std::fopen(flags.json.c_str(), "w");
+  std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json.c_str());
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
   std::fprintf(
@@ -251,15 +190,15 @@ int main(int argc, char** argv) {
       "  \"speedup\": %.3f,\n"
       "  \"rebuild_avoided_ratio\": %.4f\n"
       "}\n",
-      flags.vertices, static_cast<unsigned long long>(flags.seed),
-      flags.updates, flags.ops, all_exact ? "true" : "false", offline_seconds,
+      vertices, static_cast<unsigned long long>(seed),
+      updates, ops, all_exact ? "true" : "false", offline_seconds,
       incremental_seconds,
-      incremental_seconds > 0.0 ? flags.updates / incremental_seconds : 0.0,
+      incremental_seconds > 0.0 ? updates / incremental_seconds : 0.0,
       static_cast<unsigned long long>(dirty_total),
       static_cast<unsigned long long>(patched_total), rebuild_seconds,
-      rebuild_seconds > 0.0 ? flags.updates / rebuild_seconds : 0.0, speedup,
+      rebuild_seconds > 0.0 ? updates / rebuild_seconds : 0.0, speedup,
       avoided);
   std::fclose(json);
-  std::printf("wrote %s\n", flags.json.c_str());
+  std::printf("wrote %s\n", json_path.c_str());
   return all_exact ? 0 : 1;
 }

@@ -5,8 +5,8 @@ Compares a freshly produced benchmark JSON against a committed baseline and
 fails (exit 1) when any gated metric regressed by more than the allowed
 fraction. Two input shapes are understood:
 
-  - bench_parallel_query / bench_updates /
-    bench_seed_extraction / bench_serve style: a single JSON object; the
+  - bench_parallel_query / bench_updates / bench_seed_extraction /
+    topl_cli serve-bench style: a single JSON object; the
     gated metrics are every "queries_per_s" / "updates_per_s" /
     "extractions_per_s" / "ops_per_s" / "achieved_qps" value (higher is
     better) and every "p99_ms" / "p999_ms" value (lower is better) found

@@ -186,8 +186,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
   if (have_index_file && ArtifactReader::IsArtifact(options.index_path)) {
     ArtifactReadOptions read_options;
     read_options.verify_checksums = options.verify_artifact_checksums;
-    read_options.populate = options.mmap_populate;
-    read_options.huge_pages = options.mmap_huge_pages;
     Result<MappedIndex> mapped =
         ArtifactReader::Open(options.index_path, read_options);
     if (!mapped.ok()) return mapped.status();

@@ -70,13 +70,6 @@ struct EngineOptions {
   /// happens; disabling this only skips the hash pass.
   bool verify_artifact_checksums = true;
 
-  /// Open: MAP_POPULATE the artifact mapping (prefault the whole file at
-  /// open instead of paying page faults on the query path) and/or advise
-  /// MADV_HUGEPAGE on it (TLB relief for multi-GB artifacts). Both are safe
-  /// no-ops where unsupported. Only affect the mmap load path.
-  bool mmap_populate = false;
-  bool mmap_huge_pages = false;
-
   /// Offline-phase parameters used when the index is built in-process.
   PrecomputeOptions precompute;
   TreeIndexOptions tree;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "index/precompute.h"
 
 namespace topl {
 namespace loadgen {
@@ -62,6 +63,30 @@ Result<WorkloadSpec> WorkloadSpec::Named(const std::string& name) {
         "repeat_heavy, or mixed)");
   }
   return spec;
+}
+
+void WorkloadSpec::FitToIndex(const PrecomputedData& pre) {
+  std::vector<std::uint32_t> radii;
+  for (std::uint32_t r : params.radius_values) {
+    if (r >= 1 && r <= pre.r_max()) radii.push_back(r);
+  }
+  if (radii.empty()) {
+    for (std::uint32_t r = 1; r <= pre.r_max() && r <= 2; ++r) {
+      radii.push_back(r);
+    }
+  }
+  params.radius_values = std::move(radii);
+  std::vector<double> thetas;
+  for (double want : params.theta_values) {
+    double best = pre.thetas().front();
+    for (double have : pre.thetas()) {
+      if (std::abs(have - want) < std::abs(best - want)) best = have;
+    }
+    if (std::find(thetas.begin(), thetas.end(), best) == thetas.end()) {
+      thetas.push_back(best);
+    }
+  }
+  params.theta_values = std::move(thetas);
 }
 
 Status WorkloadSpec::Validate() const {

@@ -13,6 +13,9 @@
 #include "graph/graph_delta.h"
 
 namespace topl {
+
+class PrecomputedData;
+
 namespace loadgen {
 
 /// Operation kinds a workload mixes. Query kinds map 1:1 onto Engine entry
@@ -50,8 +53,8 @@ enum class Popularity : std::uint8_t {
 
 /// Discrete bands the per-operation query parameters are drawn from
 /// (uniformly, one independent draw per field). Mirrors the paper's §VIII
-/// parameter sweeps; drivers clamp radius to the index's r_max and take the
-/// theta band from the precompute's threshold set.
+/// parameter sweeps; WorkloadSpec::FitToIndex fits the radius and theta
+/// bands to what a given index can serve.
 struct ParamBands {
   std::vector<std::uint32_t> k_values = {3, 4, 5};
   std::vector<std::uint32_t> radius_values = {1, 2};
@@ -98,6 +101,14 @@ struct WorkloadSpec {
   /// bands — the result-cache workload) — fractions over
   /// topl/dtopl/progressive/update.
   static Result<WorkloadSpec> Named(const std::string& name);
+
+  /// Fits the parameter bands to what `pre` can serve, keeping the mix's
+  /// band shape (repeat_heavy's single values stay single, so its cache
+  /// keys still repeat): radii outside 1..r_max are dropped, and a band left
+  /// empty falls back to 1..min(r_max, 2); each theta snaps to the nearest
+  /// precomputed threshold (queries off the grid are uncacheable below
+  /// theta_min and imprecise elsewhere), duplicates removed.
+  void FitToIndex(const PrecomputedData& pre);
 
   Status Validate() const;
 };

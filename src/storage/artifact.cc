@@ -896,11 +896,7 @@ bool ArtifactReader::IsArtifact(const std::string& path) {
 
 Result<MappedIndex> ArtifactReader::Open(const std::string& path,
                                          const ArtifactReadOptions& options) {
-  MappedFile::MapOptions map_options;
-  map_options.populate = options.populate;
-  map_options.huge_pages = options.huge_pages;
-  Result<std::shared_ptr<MappedFile>> mapped_r =
-      MappedFile::Open(path, map_options);
+  Result<std::shared_ptr<MappedFile>> mapped_r = MappedFile::Open(path);
   if (!mapped_r.ok()) return mapped_r.status();
   std::shared_ptr<MappedFile> mapped = std::move(mapped_r).value();
   const MappedFile& f = *mapped;

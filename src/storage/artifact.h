@@ -110,9 +110,6 @@ struct ArtifactReadOptions {
   /// detection. Header, section table and structural invariants are always
   /// validated regardless.
   bool verify_checksums = true;
-  /// MAP_POPULATE / MADV_HUGEPAGE on the mapping (see MappedFile::MapOptions).
-  bool populate = false;
-  bool huge_pages = false;
 };
 
 /// The three structures served straight out of one mapping. Each keeps the

@@ -12,8 +12,7 @@
 
 namespace topl {
 
-Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path,
-                                                     const MapOptions& options) {
+Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path) {
   TOPL_FAULT_POINT("mapped_file.open");
   const int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT(cppcoreguidelines-pro-type-vararg)
   if (fd < 0) {
@@ -28,29 +27,12 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path,
   const std::size_t size = static_cast<std::size_t>(st.st_size);
   const std::byte* data = nullptr;
   if (size > 0) {
-    int flags = MAP_PRIVATE;
-#ifdef MAP_POPULATE
-    if (options.populate) flags |= MAP_POPULATE;
-#endif
-    void* mapped = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
-#ifdef MAP_POPULATE
-    if (mapped == MAP_FAILED && (flags & MAP_POPULATE) != 0) {
-      // Some filesystems reject MAP_POPULATE outright; retry without it
-      // rather than failing the open over a prefetch hint.
-      mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    }
-#endif
+    void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (mapped == MAP_FAILED) {
       const std::string err = std::strerror(errno);
       ::close(fd);
       return Status::IOError("cannot mmap: " + path + ": " + err);
     }
-#ifdef MADV_HUGEPAGE
-    if (options.huge_pages) {
-      // Advisory: ignore failures (THP may be disabled system-wide).
-      (void)::madvise(mapped, size, MADV_HUGEPAGE);
-    }
-#endif
     data = static_cast<const std::byte*>(mapped);
   }
   // The mapping holds its own reference to the file; the descriptor is no

@@ -26,29 +26,11 @@ namespace topl {
 /// ArtifactWriter only ever replaces artifacts via write-temp-then-rename,
 /// which leaves existing mappings on the old inode untouched. Never add an
 /// in-place file-update path.
-/// Paging behavior for a MappedFile. Both knobs trade open latency / memory
-/// for serving-time page-fault cost and are safe no-ops where the kernel
-/// lacks support.
-struct MapOptions {
-  /// MAP_POPULATE: fault the whole file in at open (read-ahead at disk
-  /// bandwidth) instead of on first touch. Turns cold-start page faults
-  /// into one sequential prefetch — the right default for benchmark
-  /// serving runs, wasteful for `index inspect`-style partial reads.
-  bool populate = false;
-  /// MADV_HUGEPAGE: ask khugepaged to back the mapping with transparent
-  /// huge pages, cutting TLB pressure on multi-GB artifacts. Advisory
-  /// only; errors (e.g. THP disabled) are ignored.
-  bool huge_pages = false;
-};
-
 class MappedFile {
  public:
-  using MapOptions = topl::MapOptions;
-
   /// Maps `path` read-only. Fails with IOError when the file cannot be
   /// opened, stat'ed or mapped. Empty files map to a null, zero-length view.
-  static Result<std::shared_ptr<MappedFile>> Open(const std::string& path,
-                                                  const MapOptions& options = {});
+  static Result<std::shared_ptr<MappedFile>> Open(const std::string& path);
 
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;

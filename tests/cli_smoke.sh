@@ -47,6 +47,10 @@ test ! -e never.idx
 expect_invalid k=abc query $query
 expect_invalid theta=0.2x query $query
 expect_invalid L=-1 dtopl $query
+# Only a boolean flag may go without a value.
+expect_invalid k query $query
+# The CLI has no mmap prefault / huge-page flags.
+expect_invalid mmap-populate=1 query $query
 # TOPLIDX2 is the only index format: there is no --format flag.
 expect_invalid format=legacy index build --graph=graph.bin --out=never.idx
 test ! -e never.idx

@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "index/precompute.h"
 
 namespace topl {
 namespace loadgen {
@@ -249,6 +250,62 @@ TEST(WorkloadGeneratorTest, KeywordFreeGraphIsRejected) {
   ASSERT_TRUE(graph.ok());
   WorkloadSpec spec;
   EXPECT_FALSE(WorkloadGenerator::Create(spec, *graph).ok());
+}
+
+PrecomputedData MakePrecompute(const Graph& graph, std::uint32_t r_max) {
+  PrecomputeOptions options;  // thetas {0.1, 0.2, 0.3}
+  options.r_max = r_max;
+  options.num_threads = 1;
+  Result<PrecomputedData> pre = PrecomputedData::Build(graph, options);
+  EXPECT_TRUE(pre.ok()) << pre.status().ToString();
+  return std::move(pre).value();
+}
+
+TEST(WorkloadSpecTest, FitToIndexDropsRadiiAboveRMax) {
+  const Graph graph = MakeTestGraph(200);
+  WorkloadSpec spec;
+  spec.params.radius_values = {3, 1, 4, 2};
+  spec.FitToIndex(MakePrecompute(graph, 2));
+  EXPECT_EQ(spec.params.radius_values, (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(WorkloadSpecTest, FitToIndexRefillsAnEmptiedRadiusBand) {
+  const Graph graph = MakeTestGraph(200);
+  const PrecomputedData r1 = MakePrecompute(graph, 1);
+  const PrecomputedData r3 = MakePrecompute(graph, 3);
+  WorkloadSpec spec;
+  spec.params.radius_values = {2, 3};
+  spec.FitToIndex(r1);
+  EXPECT_EQ(spec.params.radius_values, (std::vector<std::uint32_t>{1}));
+  // The fallback stops at radius 2 even when r_max allows more.
+  spec.params.radius_values = {4, 5};
+  spec.FitToIndex(r3);
+  EXPECT_EQ(spec.params.radius_values, (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(WorkloadSpecTest, FitToIndexSnapsThetasToTheGridWithoutDuplicates) {
+  const Graph graph = MakeTestGraph(200);
+  const PrecomputedData pre = MakePrecompute(graph, 2);
+  ASSERT_EQ(pre.num_thetas(), 3u);
+  WorkloadSpec spec;
+  spec.params.theta_values = {0.21, 0.05, 0.12, 0.18, 0.9, 0.29};
+  spec.FitToIndex(pre);
+  // First-occurrence order: 0.21 -> 0.2, 0.05/0.12 -> 0.1, 0.9/0.29 -> 0.3.
+  EXPECT_EQ(spec.params.theta_values,
+            (std::vector<double>{pre.thetas()[1], pre.thetas()[0],
+                                 pre.thetas()[2]}));
+}
+
+TEST(WorkloadSpecTest, FitToIndexKeepsRepeatHeavySingleValueBands) {
+  const Graph graph = MakeTestGraph(200);
+  Result<WorkloadSpec> spec = WorkloadSpec::Named("repeat_heavy");
+  ASSERT_TRUE(spec.ok());
+  const ParamBands before = spec->params;
+  spec->FitToIndex(MakePrecompute(graph, 2));
+  EXPECT_EQ(spec->params.k_values, before.k_values);
+  EXPECT_EQ(spec->params.radius_values, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(spec->params.theta_values, (std::vector<double>{0.2}));
+  EXPECT_EQ(spec->params.top_l_values, before.top_l_values);
 }
 
 }  // namespace

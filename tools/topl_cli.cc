@@ -58,8 +58,7 @@
 //   topl_cli query    --graph=graph.bin --index=index.bin
 //                     --keywords=1,8,21 --k=4 --r=2 --theta=0.2 --L=5
 //                     [--deadline-ms=0 --progressive --chunk=8]
-//                     [--mmap-populate=0 --mmap-hugepages=0
-//                      --reorder=0 --compress=0]
+//                     [--reorder=0 --compress=0]
 //   topl_cli dtopl    ... same flags ... [--n=5 --algorithm=wp|wop|optimal]
 //   topl_cli batch    --graph=graph.bin --index=index.bin --queries=queries.txt
 //                     [--threads=0 --repeat=1 --quiet=0]
@@ -72,8 +71,7 @@
 // All online subcommands accept --cache=1 [--cache-max-mb=64] to serve
 // repeated queries from the snapshot-epoch result cache (exact dirty-region
 // invalidation on update; answers stay byte-identical to uncached serving),
-// --mmap-populate=1 / --mmap-hugepages=1 to prefault / THP-back the mmap'd
-// artifact, and --reorder=1 / --compress=1 to apply locality reordering /
+// and --reorder=1 / --compress=1 to apply locality reordering /
 // section compression when the index is built in-process. When the served
 // artifact carries a vertex permutation, printed community centers are
 // always the original (external) ids.
@@ -86,7 +84,9 @@
 // measured from each operation's *intended* arrival so a stalled engine
 // cannot hide its backlog (no coordinated omission). Prints the per-kind
 // latency table, optionally writes the JSON report, and exits non-zero on
-// any failed operation or breached --slo-* threshold.
+// any failed operation or breached --slo-* threshold. It is the serving
+// harness CI gates against bench/baselines/BENCH_serve.json; the report's
+// stream_digest witnesses that two runs replayed the same op stream.
 //
 // --deadline-ms gives the query a wall-clock budget: on expiry it returns
 // its best-so-far communities marked "truncated" plus the remaining score
@@ -103,14 +103,11 @@
 // (throughput, p50/p99 latency, prune counters) are printed at the end.
 //
 // Every flag must be one the CLI knows, and numeric flags must parse in
-// full: an unknown flag or a value such as --k=abc or --theta=0.2x is an
-// InvalidArgument error, never a silent default. All subcommands exit
-// non-zero with a Status message on failure.
+// full (tools/flags.h): an unknown flag or a value such as --k=abc or
+// --theta=0.2x is an InvalidArgument error, never a silent default. All
+// subcommands exit non-zero with a Status message on failure.
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -120,18 +117,17 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "topl.h"
 
 namespace {
 
 using namespace topl;  // NOLINT(build/namespaces)
 
-// The value shape of each flag the CLI understands.
-enum class FlagKind { kString, kBool, kUint, kDouble, kUintList };
-
-const std::map<std::string, FlagKind>& KnownFlags() {
+// Every flag the CLI understands, with the shape its value must have.
+const FlagTable& KnownFlags() {
   using K = FlagKind;
-  static const std::map<std::string, FlagKind> kFlags = {
+  static const FlagTable kFlags = {
       {"L", K::kUint},           {"algorithm", K::kString},
       {"artifact", K::kString},  {"cache", K::kBool},
       {"cache-max-mb", K::kUint}, {"chunk", K::kUint},
@@ -143,7 +139,6 @@ const std::map<std::string, FlagKind>& KnownFlags() {
       {"k", K::kUint},           {"keywords", K::kUintList},
       {"keywords-per-vertex", K::kUint}, {"kind", K::kString},
       {"largest-cc", K::kBool},  {"mix", K::kString},
-      {"mmap-hugepages", K::kBool}, {"mmap-populate", K::kBool},
       {"n", K::kUint},           {"ops", K::kUint},
       {"out", K::kString},       {"popularity", K::kString},
       {"progressive", K::kBool}, {"qps", K::kDouble},
@@ -161,109 +156,11 @@ const std::map<std::string, FlagKind>& KnownFlags() {
   return kFlags;
 }
 
-// A decimal unsigned integer with nothing before or after it.
-bool IsUint(const std::string& text) {
-  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  std::strtoull(text.c_str(), &end, 10);
-  return errno != ERANGE && *end == '\0';
-}
-
-// A finite decimal number with nothing after it.
-bool IsDouble(const std::string& text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
-    return false;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0' && std::isfinite(value);
-}
-
-bool IsValidValue(FlagKind kind, const std::string& value) {
-  switch (kind) {
-    case FlagKind::kString:
-      return true;
-    case FlagKind::kBool:
-      return value == "0" || value == "1";
-    case FlagKind::kUint:
-      return IsUint(value);
-    case FlagKind::kDouble:
-      return IsDouble(value);
-    case FlagKind::kUintList: {
-      // Comma-separated ids; empty items (e.g. a trailing comma) are skipped.
-      std::size_t pos = 0;
-      while (pos <= value.size()) {
-        const std::size_t comma = std::min(value.find(',', pos), value.size());
-        const std::string item = value.substr(pos, comma - pos);
-        if (!item.empty() && !IsUint(item)) return false;
-        pos = comma + 1;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-// --key=value flags into a map (a bare --key means --key=1). Rejects
-// positional arguments, flags outside KnownFlags(), and values that do not
-// have their flag's shape.
-Status ParseFlags(int argc, char** argv, int first,
-                  std::map<std::string, std::string>* flags) {
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      return Status::InvalidArgument("unexpected argument: " + arg);
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-    const std::string value =
-        eq == std::string::npos ? "1" : arg.substr(eq + 1);
-    const auto known = KnownFlags().find(key);
-    if (known == KnownFlags().end()) {
-      return Status::InvalidArgument("unknown flag: --" + key);
-    }
-    if (!IsValidValue(known->second, value)) {
-      return Status::InvalidArgument("malformed value for --" + key + ": '" +
-                                     value + "'");
-    }
-    (*flags)[key] = value;
-  }
-  return Status::OK();
-}
-
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-// Numeric accessors; ParseFlags has already checked every value's shape.
-std::uint64_t IntFlag(const std::map<std::string, std::string>& flags,
-                      const std::string& key, std::uint64_t fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-double DoubleFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
-
 std::vector<KeywordId> ParseKeywordList(const std::string& csv) {
   std::vector<KeywordId> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string token = csv.substr(pos, comma - pos);
-    if (!token.empty()) {
-      out.push_back(static_cast<KeywordId>(std::strtoul(token.c_str(), nullptr, 10)));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& item : SplitList(csv)) {
+    out.push_back(
+        static_cast<KeywordId>(std::strtoul(item.c_str(), nullptr, 10)));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -680,8 +577,6 @@ Result<std::unique_ptr<Engine>> OpenEngine(
   options.num_threads = IntFlag(flags, "threads", 0);
   options.enable_result_cache = FlagOr(flags, "cache", "0") == "1";
   options.cache_max_bytes = IntFlag(flags, "cache-max-mb", 64) << 20;
-  options.mmap_populate = FlagOr(flags, "mmap-populate", "0") == "1";
-  options.mmap_huge_pages = FlagOr(flags, "mmap-hugepages", "0") == "1";
   options.reorder_vertices = FlagOr(flags, "reorder", "0") == "1";
   options.compress_artifact = FlagOr(flags, "compress", "0") == "1";
   return Engine::Open(options);
@@ -949,32 +844,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   } else {
     return Fail(Status::InvalidArgument("unknown popularity: " + popularity));
   }
-  // The workload can only ask what this index can serve: clamp the radius
-  // band to r_max and snap thetas to the precompute grid, preserving the
-  // mix's own band shape (repeat_heavy pins single values so cache keys
-  // repeat; overwriting its bands with the full grid would destroy that).
-  const PrecomputedData& pre = (*engine)->precomputed();
-  std::vector<std::uint32_t> radii;
-  for (std::uint32_t r : spec->params.radius_values) {
-    if (r >= 1 && r <= pre.r_max()) radii.push_back(r);
-  }
-  if (radii.empty()) {
-    for (std::uint32_t r = 1; r <= pre.r_max() && r <= 2; ++r) {
-      radii.push_back(r);
-    }
-  }
-  spec->params.radius_values = std::move(radii);
-  std::vector<double> thetas;
-  for (double want : spec->params.theta_values) {
-    double best = pre.thetas().front();
-    for (double have : pre.thetas()) {
-      if (std::abs(have - want) < std::abs(best - want)) best = have;
-    }
-    if (std::find(thetas.begin(), thetas.end(), best) == thetas.end()) {
-      thetas.push_back(best);
-    }
-  }
-  spec->params.theta_values = std::move(thetas);
+  spec->FitToIndex((*engine)->precomputed());
   Result<loadgen::WorkloadGenerator> generator =
       loadgen::WorkloadGenerator::Create(*spec, (*engine)->graph());
   if (!generator.ok()) return Fail(generator.status());
@@ -1041,7 +911,8 @@ int main(int argc, char** argv) {
       first_flag = 3;
     }
     std::map<std::string, std::string> flags;
-    const Status parsed = ParseFlags(argc, argv, first_flag, &flags);
+    const Status parsed =
+        ParseFlags(argc, argv, first_flag, KnownFlags(), &flags);
     if (!parsed.ok()) return Fail(parsed);
     if (sub == "build") return CmdIndexBuild(flags);
     if (sub == "inspect") return CmdIndexInspect(flags);
@@ -1049,7 +920,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
   std::map<std::string, std::string> flags;
-  const Status parsed = ParseFlags(argc, argv, 2, &flags);
+  const Status parsed = ParseFlags(argc, argv, 2, KnownFlags(), &flags);
   if (!parsed.ok()) return Fail(parsed);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "convert") return CmdConvert(flags);
