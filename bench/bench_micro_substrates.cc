@@ -1,8 +1,9 @@
 // Microbenchmarks of the substrates underneath TopL-ICDE: hop extraction,
-// support counting, truss decomposition, MIA propagation, seed-community
-// extraction, and the offline precompute throughput. Not a paper figure —
-// these isolate where the query time of Figs. 2-3 goes, and anchor the
-// ablation discussion in EXPERIMENTS.md.
+// support counting, truss decomposition, MIA propagation (query form and
+// the offline score-only form), seed-community extraction, and the offline
+// precompute throughput. Not a paper figure — these isolate where the query
+// time of Figs. 2-3 goes, and anchor the ablation discussion in
+// EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
@@ -74,6 +75,48 @@ void BM_Propagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Propagation)->Arg(10)->Arg(20)->Arg(30)->Unit(benchmark::kMicrosecond);
+
+// One offline σ-bound row per iteration: the radius-r ball of a rotating
+// center propagated at θ_min and read off at every θ_z, through Compute +
+// ScoresAtThresholds (arg 0 = 0, the reference) or the score-only
+// ComputeScores that VertexPrecomputer runs (arg 0 = 1).
+void BM_PrecomputeScores(benchmark::State& state) {
+  const Workload& w = DefaultWorkload();
+  const bool score_only = state.range(0) != 0;
+  const auto radius = static_cast<std::uint32_t>(state.range(1));
+  const std::vector<double> thetas = PrecomputeOptions{}.thetas;
+  // Balls are extracted up front so the loop times propagation only.
+  std::vector<std::vector<VertexId>> balls;
+  {
+    HopExtractor extractor(w.graph);
+    LocalGraph lg;
+    VertexId v = 0;
+    for (int i = 0; i < 256; ++i) {
+      extractor.Extract(v, radius, {}, &lg);
+      balls.push_back(lg.global_ids);
+      v = static_cast<VertexId>((v + 7919) % w.graph.NumVertices());
+    }
+  }
+  PropagationEngine engine(w.graph);
+  std::vector<double> scores(thetas.size());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<VertexId>& ball = balls[next];
+    next = (next + 1) % balls.size();
+    if (score_only) {
+      engine.ComputeScores(ball, thetas, scores);
+    } else {
+      scores = ScoresAtThresholds(engine.Compute(ball, thetas.front()), thetas);
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(score_only ? "ComputeScores" : "Compute+ScoresAtThresholds");
+}
+BENCHMARK(BM_PrecomputeScores)
+    ->ArgNames({"score_only", "r"})
+    ->ArgsProduct({{0, 1}, {2, 3}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SeedExtraction(benchmark::State& state) {
   const Workload& w = DefaultWorkload();

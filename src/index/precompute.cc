@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "influence/influence_calculator.h"
 #include "truss/truss_decomposition.h"
 
 namespace topl {
@@ -50,7 +49,6 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
   const Graph& g = *graph_;
   const std::uint32_t r_max = out->r_max_;
   const std::size_t m_thetas = out->owned_thetas_.size();
-  const double theta_min = out->owned_thetas_.front();
 
   // One unfiltered r_max-hop extraction; every smaller radius is a BFS-order
   // prefix of it.
@@ -68,7 +66,11 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
   }
 
   // Signatures: incremental OR over BFS layers.
-  BitVector acc(out->signature_bits_);
+  if (acc_.bits() != out->signature_bits_) {
+    acc_ = BitVector(out->signature_bits_);
+  } else {
+    acc_.Clear();
+  }
   {
     std::size_t idx = 0;
     for (std::uint32_t r = 1; r <= r_max; ++r) {
@@ -76,10 +78,10 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
       // (For r = 1 this folds layers 0 and 1.)
       const std::size_t upto = members_at_radius_[r];
       while (idx < upto) {
-        for (KeywordId w : g.Keywords(lg.global_ids[idx])) acc.AddKeyword(w);
+        for (KeywordId w : g.Keywords(lg.global_ids[idx])) acc_.AddKeyword(w);
         ++idx;
       }
-      std::copy(acc.words().begin(), acc.words().end(),
+      std::copy(acc_.words().begin(), acc_.words().end(),
                 out->owned_signatures_.begin() +
                     static_cast<std::ptrdiff_t>(out->SigOffset(v, r)));
     }
@@ -104,16 +106,15 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
     out->owned_support_bounds_[out->Index2(v, r)] = running;
   }
 
-  // Influential-score bounds: one propagation per radius at θ_min, then all
-  // σ_z read off the same cpp list.
+  // Influential-score bounds: one score-only propagation per radius at
+  // θ_min yields every σ_z, written straight into the row's m slots.
   for (std::uint32_t r = 1; r <= r_max; ++r) {
     const std::size_t count = members_at_radius_[r];
     const std::span<const VertexId> seeds(lg.global_ids.data(), count);
-    const InfluencedCommunity inf = engine_.Compute(seeds, theta_min);
-    const std::vector<double> scores = ScoresAtThresholds(inf, out->owned_thetas_);
-    for (std::uint32_t z = 0; z < m_thetas; ++z) {
-      out->owned_score_bounds_[out->Index3(v, r, z)] = scores[z];
-    }
+    engine_.ComputeScores(
+        seeds, out->owned_thetas_,
+        std::span<double>(out->owned_score_bounds_.data() + out->Index3(v, r, 0),
+                          m_thetas));
   }
 }
 

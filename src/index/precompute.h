@@ -214,6 +214,7 @@ class VertexPrecomputer {
   // the vectors below) persist across the thousands of Recompute calls one
   // worker performs, so the per-vertex loop allocates nothing after warm-up.
   LocalTrussDecomposer decomposer_;
+  BitVector acc_;  // running signature OR over the ball's BFS layers
   std::vector<std::uint32_t> ball_trussness_;
   std::vector<std::size_t> members_at_radius_;
   std::vector<std::uint32_t> max_sup_by_radius_;

@@ -18,19 +18,4 @@ std::vector<double> ScoresAtThresholds(const InfluencedCommunity& community,
   return scores;
 }
 
-InfluencedCommunity RestrictToThreshold(const InfluencedCommunity& community,
-                                        double theta) {
-  InfluencedCommunity out;
-  out.vertices.reserve(community.size());
-  out.cpp.reserve(community.size());
-  for (std::size_t i = 0; i < community.size(); ++i) {
-    if (community.cpp[i] >= theta) {
-      out.vertices.push_back(community.vertices[i]);
-      out.cpp.push_back(community.cpp[i]);
-      out.score += community.cpp[i];
-    }
-  }
-  return out;
-}
-
 }  // namespace topl

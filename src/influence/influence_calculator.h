@@ -13,20 +13,15 @@ namespace topl {
 ///
 /// σ_θ(g) = Σ {cpp(g, v) : cpp(g, v) ≥ θ} is non-increasing in θ, so the
 /// propagation run once at the smallest threshold contains every term needed
-/// for all larger thresholds. The offline phase (Algorithm 2) uses this to
-/// fill the m (σ_z, θ_z) pairs per r-hop subgraph with one Dijkstra instead
-/// of m.
+/// for all larger thresholds, so the m (σ_z, θ_z) pairs of Algorithm 2 need
+/// one Dijkstra instead of m. The offline phase itself calls the score-only
+/// PropagationEngine::ComputeScores; this form over a full Compute result is
+/// the reference its sums must equal bit for bit.
 ///
 /// `thetas` must be sorted ascending; `community` must come from a
 /// propagation with threshold ≤ thetas.front(). Returns one score per theta.
 std::vector<double> ScoresAtThresholds(const InfluencedCommunity& community,
                                        std::span<const double> thetas);
-
-/// \brief Restricts `community` to the vertices with cpp ≥ theta — converts
-/// a propagation computed at a smaller threshold into the exact influenced
-/// community for `theta`, without re-running Dijkstra.
-InfluencedCommunity RestrictToThreshold(const InfluencedCommunity& community,
-                                        double theta);
 
 }  // namespace topl
 

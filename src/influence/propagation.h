@@ -49,6 +49,34 @@ class PropagationEngine {
   /// upp(source, v) for all v with upp ≥ theta. upp(source, source) = 1.
   InfluencedCommunity ComputeFromSource(VertexId source, double theta);
 
+  /// Score-only form of Compute for the offline σ bounds (Algorithm 2):
+  /// writes σ_{thetas[z]}(seeds) to scores[z] for every z, propagating once
+  /// at thetas.front(). `thetas` must be non-empty, ascending and in [0, 1);
+  /// `scores` must have thetas.size() slots. Each score is bit-identical to
+  /// ScoresAtThresholds(Compute(seeds, thetas.front()), thetas)[z]: the same
+  /// cpp values are summed in the same non-increasing order.
+  ///
+  /// Three differences from Compute make it cheaper, none visible in the
+  /// sums:
+  ///  - Seeds settle at 1.0 directly instead of through the heap.
+  ///  - A vertex whose tentative cpp c has fl(c · p_max) < θ_min (p_max: the
+  ///    graph's largest arc probability) is terminal: it never enters the
+  ///    heap, and later offers only max-update its value in place. Every
+  ///    arc p ≤ p_max and rounding is monotone, so fl(c · p) ≤ fl(c · p_max)
+  ///    < θ_min; Compute cuts every relaxation out of such a vertex, so
+  ///    leaving it off the heap drops no relaxation and changes no other
+  ///    vertex's value. A terminal value later beaten by a non-terminal
+  ///    offer moves to the heap as usual.
+  ///  - Terminal values are summed after the heap drains, in descending
+  ///    order. Compute settles in non-increasing cpp order; by the same
+  ///    monotonicity every heap-settled value h (fl(h · p_max) ≥ θ_min)
+  ///    exceeds every terminal value t (fl(t · p_max) < θ_min), so "seeds,
+  ///    heap settle order, then terminal values descending" is Compute's
+  ///    summation sequence up to swaps of equal values, which leave
+  ///    floating-point sums unchanged.
+  void ComputeScores(std::span<const VertexId> seeds,
+                     std::span<const double> thetas, std::span<double> scores);
+
  private:
   friend class EpochWrapTestPeer;
 
@@ -58,11 +86,22 @@ class PropagationEngine {
     bool operator<(const HeapEntry& other) const { return prob < other.prob; }
   };
 
+  // Largest arc probability of *graph_, scanned on first use so engines
+  // that only run Compute never pay for it.
+  double MaxArcProb();
+
   const Graph* graph_;
   std::vector<double> best_;         // tentative cpp per vertex (epoch-guarded)
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
   std::vector<HeapEntry> heap_;
+
+  // ComputeScores scratch.
+  double p_max_ = -1.0;  // MaxArcProb's cache; < 0 until computed
+  std::vector<VertexId> terminal_;    // reached first below the relax cut
+  std::vector<double> terminal_cpp_;  // their final values, then sorted
+  std::vector<double> sorted_cpp_;
+  std::vector<std::uint32_t> bucket_end_;
 };
 
 }  // namespace topl

@@ -11,7 +11,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,6 +29,7 @@
 namespace topl {
 namespace {
 
+using testing::LargestArcProb;
 using testing::MakeGraph;
 using testing::MakeKeywordGraph;
 
@@ -298,6 +302,98 @@ TEST(DynamicUpdateTest, RebuildScopeIsLocalForKeywordChange) {
   EXPECT_GT(updated->scope.precompute_avoided(), 0.6);
   EXPECT_GT(updated->scope.tree_nodes_patched, 0u);
   EXPECT_FALSE(updated->scope.ToString().empty());
+}
+
+/// Every row of `got` (signatures, support bounds, center trussness, score
+/// bounds) is bit-identical to `want`'s.
+void ExpectSameRows(const PrecomputedData& got, const PrecomputedData& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices()) << label;
+  ASSERT_EQ(got.r_max(), want.r_max()) << label;
+  ASSERT_EQ(got.num_thetas(), want.num_thetas()) << label;
+  for (VertexId v = 0; v < got.num_vertices(); ++v) {
+    ASSERT_EQ(got.CenterTrussBound(v), want.CenterTrussBound(v)) << label << " v=" << v;
+    for (std::uint32_t r = 1; r <= got.r_max(); ++r) {
+      const auto got_sig = got.SignatureWords(v, r);
+      const auto want_sig = want.SignatureWords(v, r);
+      ASSERT_TRUE(std::equal(got_sig.begin(), got_sig.end(), want_sig.begin(),
+                             want_sig.end()))
+          << label << " v=" << v << " r=" << r;
+      ASSERT_EQ(got.SupportBound(v, r), want.SupportBound(v, r))
+          << label << " v=" << v << " r=" << r;
+      for (std::uint32_t z = 0; z < got.num_thetas(); ++z) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.ScoreBound(v, r, z)),
+                  std::bit_cast<std::uint64_t>(want.ScoreBound(v, r, z)))
+            << label << " v=" << v << " r=" << r << " z=" << z;
+      }
+    }
+  }
+}
+
+// The score bounds keep a vertex off the propagation heap when
+// fl(c · p_max) < θ_min, with p_max the largest arc probability of the graph
+// being propagated over. An update moves p_max: the first delta inserts an
+// edge above the old maximum, the second deletes the edge that carries the
+// maximum, and after each the incrementally recomputed rows must be
+// byte-identical to a rebuild over the new graph.
+TEST(DynamicUpdateTest, RowsMatchRebuildWhenLargestArcProbabilityMoves) {
+  const PrecomputeOptions options = SweepPrecomputeOptions();
+  // A 16-vertex path at p = 0.4 plus a triangle: two hops from a ball a
+  // vertex holds 0.16, terminal under p_max = 0.4 (0.16 · 0.4 < θ_min = 0.1)
+  // but not once a 0.95 arc leaves it (0.16 · 0.95 ≥ 0.1).
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i + 1 < 16; ++i) edges.emplace_back(i, i + 1);
+  edges.emplace_back(0, 2);
+  Pipeline pipeline = BuildPipeline(
+      MakeKeywordGraph(16, edges, std::vector<std::vector<KeywordId>>(16, {0}), 0.4),
+      options);
+  const double old_max = LargestArcProb(pipeline.graph);
+
+  const auto apply = [&](const GraphDelta& delta, const std::string& label) {
+    Result<UpdatedIndex> updated =
+        IndexUpdater::Apply(pipeline.graph, *pipeline.pre, pipeline.tree, delta);
+    ASSERT_TRUE(updated.ok()) << label << ": " << updated.status().ToString();
+    pipeline.graph = std::move(updated->graph);
+    pipeline.pre = std::move(updated->pre);
+    pipeline.tree = std::move(updated->tree);
+    Result<PrecomputedData> rebuilt = PrecomputedData::Build(pipeline.graph, options);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    ExpectSameRows(*pipeline.pre, *rebuilt, label);
+    // Both sides above run the score-only kernel; the full propagation
+    // needs no p_max, so it also catches a p_max both sides got wrong.
+    PropagationEngine engine(pipeline.graph);
+    HopExtractor extractor(pipeline.graph);
+    LocalGraph ball;
+    for (VertexId c = 0; c < pipeline.graph.NumVertices(); ++c) {
+      for (std::uint32_t r = 1; r <= options.r_max; ++r) {
+        ASSERT_TRUE(extractor.Extract(c, r, {}, &ball));
+        const std::vector<double> reference = ScoresAtThresholds(
+            engine.Compute(ball.global_ids, options.thetas.front()), options.thetas);
+        for (std::uint32_t z = 0; z < options.thetas.size(); ++z) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(pipeline.pre->ScoreBound(c, r, z)),
+                    std::bit_cast<std::uint64_t>(reference[z]))
+              << label << " reference c=" << c << " r=" << r << " z=" << z;
+        }
+      }
+    }
+  };
+
+  // Raise: an edge between two non-adjacent vertices, both directions above
+  // every old arc.
+  const VertexId u = 3;
+  const VertexId v = 12;
+  GraphDelta raise;
+  raise.InsertEdge(u, v, 0.95, 0.9);
+  apply(raise, "raise");
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(LargestArcProb(pipeline.graph), old_max);
+
+  // Delete the edge carrying the maximum: p_max falls back below 0.95.
+  GraphDelta drop;
+  drop.DeleteEdge(u, v);
+  apply(drop, "drop");
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(LargestArcProb(pipeline.graph), old_max);
 }
 
 // Engine-level MVCC: in-flight/pinned snapshots keep answering with the old

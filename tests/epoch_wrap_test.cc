@@ -1,6 +1,6 @@
 // Epoch-stamped scratch across the 2^32 wraparound: HopExtractor,
-// PropagationEngine and IcSimulator each stamp visited vertices with a
-// 32-bit per-call epoch. A peer moves an instance's epoch just below the
+// PropagationEngine (Compute and ComputeScores) and IcSimulator each stamp
+// visited vertices with a 32-bit per-call epoch. A peer moves an instance's epoch just below the
 // wrap after it has left stale stamps behind, then every call across the
 // wrap must return exactly what a fresh instance returns.
 
@@ -109,6 +109,25 @@ TEST(EpochWrapTest, PropagationMatchesFreshInstanceAcrossWrap) {
     EXPECT_EQ(got.vertices, want.vertices) << "call " << i;
     EXPECT_EQ(got.cpp, want.cpp) << "call " << i;
     EXPECT_EQ(got.score, want.score) << "call " << i;
+  }
+
+  // The score-only form stamps the same scratch (its terminal list keys off
+  // the stamps), so it is aged and checked across the wrap the same way.
+  const std::vector<double> thetas = {0.3, 0.4};
+  PropagationEngine aged_scores(g);
+  std::vector<double> got(thetas.size());
+  for (std::uint32_t a = 0; a < kAgingCalls; ++a) {
+    const VertexId seeds[] = {First(AgingInput(a)), Second(AgingInput(a))};
+    aged_scores.ComputeScores(seeds, thetas, got);
+  }
+  EpochWrapTestPeer::SetEpoch(&aged_scores, kNearWrap);
+
+  for (std::uint32_t i = 0; i < kCallsAcrossWrap; ++i) {
+    const VertexId seeds[] = {First(i), Second(i)};
+    std::vector<double> want(thetas.size());
+    aged_scores.ComputeScores(seeds, thetas, got);
+    PropagationEngine(g).ComputeScores(seeds, thetas, want);
+    EXPECT_EQ(got, want) << "call " << i;
   }
 }
 

@@ -1,12 +1,16 @@
 #include "index/precompute.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "core/brute_force.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "graph/local_subgraph.h"
 #include "gtest/gtest.h"
+#include "influence/influence_calculator.h"
 #include "influence/propagation.h"
 #include "tests/test_util.h"
 #include "truss/support.h"
@@ -178,10 +182,17 @@ TEST(PrecomputeTest, ScoreBoundEqualsHopInfluence) {
   PropagationEngine engine(*g);
   HopExtractor ex(*g);
   LocalGraph lg;
-  for (VertexId v = 0; v < 15; ++v) {
+  for (VertexId v = 0; v < g->NumVertices(); ++v) {
     for (std::uint32_t r = 1; r <= 3; ++r) {
       ASSERT_TRUE(ex.Extract(v, r, {}, &lg));
+      // Bit for bit: one propagation at θ_min, read off at every θ_z.
+      const std::vector<double> reference = ScoresAtThresholds(
+          engine.Compute(lg.global_ids, opts.thetas.front()), opts.thetas);
       for (std::uint32_t z = 0; z < opts.thetas.size(); ++z) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pre->ScoreBound(v, r, z)),
+                  std::bit_cast<std::uint64_t>(reference[z]))
+            << "v=" << v << " r=" << r << " z=" << z << ": "
+            << pre->ScoreBound(v, r, z) << " vs " << reference[z];
         const auto direct = engine.Compute(lg.global_ids, opts.thetas[z]);
         EXPECT_NEAR(pre->ScoreBound(v, r, z), direct.score, 1e-9)
             << "v=" << v << " r=" << r << " z=" << z;

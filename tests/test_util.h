@@ -52,6 +52,16 @@ inline Graph MakeClique(std::size_t n, double prob = 0.5) {
   return std::move(g).value();
 }
 
+/// The largest arc probability of `g` (0 when it has no arcs): the p_max
+/// below which PropagationEngine::ComputeScores keeps vertices off its heap.
+inline double LargestArcProb(const Graph& g) {
+  float p_max = 0.0f;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (const Graph::Arc& arc : g.Neighbors(v)) p_max = std::max(p_max, arc.prob);
+  }
+  return p_max;
+}
+
 /// A miniature of the paper's Fig. 1 scenario: a K4 "movies" core
 /// {0, 1, 2, 3} (a 4-truss), a weaker triangle {4, 5, 6}, and a chain of
 /// influenced users hanging off the core. Keyword ids: 0 = movies,
