@@ -3,8 +3,7 @@
 // the network; TopL-ICDE insists the seeds form a cohesive k-truss community
 // with shared interests. This example quantifies the trade on one network:
 // how much raw spread the structural constraints cost, and what cohesion is
-// bought — plus an Independent-Cascade Monte-Carlo check of how conservative
-// the MIA scores are.
+// bought.
 //
 //   $ ./example_community_vs_im [num_users]
 
@@ -79,18 +78,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // -- Ground-truth IC simulation for both seed sets --------------------------
-  // Same σ semantics as the MIA scores: sum activation probabilities over
-  // vertices activated with probability ≥ θ. (Unrestricted IC spread
-  // percolates to nearly the whole graph at these edge weights.)
-  IcSimulator simulator(*graph);
-  IcSimulator::Options mc;
-  mc.num_rounds = 2000;
-  const double community_ic =
-      simulator.EstimateSpread(community.community.vertices, mc, query.theta)
-          .score;
-  const double im_ic = simulator.EstimateSpread(im->seeds, mc, query.theta).score;
-
   const std::size_t community_edges =
       InternalEdges(*graph, community.community.vertices);
   const std::size_t im_edges = InternalEdges(*graph, im->seeds);
@@ -100,7 +87,6 @@ int main(int argc, char** argv) {
   std::printf("%-28s %16s %16s\n", "", "seed community", "IM seed set");
   std::printf("%-28s %16.2f %16.2f\n", "MIA spread (sigma)", community.score(),
               im->spread);
-  std::printf("%-28s %16.2f %16.2f\n", "IC simulated spread", community_ic, im_ic);
   std::printf("%-28s %16zu %16zu\n", "edges among seeds", community_edges,
               im_edges);
   std::printf("%-28s %16s %16s\n", "keyword-coherent", "yes (by query)", "no");
@@ -108,9 +94,5 @@ int main(int argc, char** argv) {
               "ties versus the community's %zu — no group-buying structure.\n",
               100.0 * (im->spread - community.score()) / community.score(),
               im_edges, community_edges);
-  std::printf("note: with edge weights in [0.5, 0.6) the IC process is "
-              "supercritical — any seed set saturates the network, which is "
-              "why the paper scores communities under the per-path MIA model "
-              "instead.\n");
   return 0;
 }

@@ -25,8 +25,8 @@ struct CommunityResult {
 /// what makes the parallel scoring path deterministic: the top-L of any
 /// candidate set under a total order is one specific set of communities, no
 /// matter in which order the candidates were refined and merged. RanksAbove
-/// is the same order on bare (σ, center) keys, for callers that hold a score
-/// but no influenced community yet.
+/// is the same order on bare (σ, center) keys; it needs only σ, so the
+/// detectors rank communities whose gInf is not built yet.
 inline bool RanksAbove(double a_score, VertexId a_center, double b_score,
                        VertexId b_center) {
   if (a_score != b_score) return a_score > b_score;

@@ -74,10 +74,12 @@ struct QueryStats {
 
   std::uint64_t candidates_refined = 0;   // extractions attempted
   std::uint64_t communities_found = 0;    // non-empty seed communities
-  /// Influence propagations run (PropagationEngine::Compute calls). Below
-  /// communities_found when neighbouring centers share a seed community: each
-  /// distinct seed set is propagated at most once per query, plus once more
-  /// for every repeat whose known σ still enters the top-L.
+  /// Score-only influence propagations run (PropagationEngine::ComputeScores
+  /// calls): exactly one per distinct seed set in a sequential query, so
+  /// below communities_found when neighbouring centers share a seed
+  /// community. (Parallel workers keep per-wave memos, so two workers may
+  /// each score one seed set.) The ≤ L gInf builds for the output are not
+  /// counted.
   std::uint64_t propagations = 0;
 
   /// Triangle-substrate counters (truss/local_truss.h): alive triangles

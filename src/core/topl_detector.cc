@@ -37,25 +37,36 @@ class TopLCollector {
 
   double threshold() const { return Full() ? entries_[worst_].score() : kNegInf; }
 
-  /// True when a community scoring `score` at `center` would change the
-  /// contents, i.e. when Offer would accept it.
-  bool Admits(double score, VertexId center) const {
-    if (!Full()) return true;
-    const CommunityResult& worst = entries_[worst_];
-    return RanksAbove(score, center, worst.score(), worst.community.center);
-  }
-
-  /// Returns true when the offer changed the collector's contents.
+  /// Offers a community that carries σ only (influence.score); its gInf is
+  /// built by BuildInfluence if it is still held at output. Returns true when
+  /// the offer changed the collector's contents.
   bool Offer(CommunityResult&& result) {
     if (!Full()) {
       entries_.push_back(std::move(result));
       if (Full()) RecomputeWorst();
       return true;
     }
-    if (!Admits(result.score(), result.community.center)) return false;
+    const CommunityResult& worst = entries_[worst_];
+    if (!RanksAbove(result.score(), result.community.center, worst.score(),
+                    worst.community.center)) {
+      return false;
+    }
     entries_[worst_] = std::move(result);
     RecomputeWorst();
     return true;
+  }
+
+  /// Builds gInf for every entry that has none yet (a built gInf holds at
+  /// least the seeds). Runs before each snapshot and before Take, so each
+  /// community that reaches an answer is built once and an evicted one never.
+  void BuildInfluence(PropagationEngine& engine, double theta) {
+    for (CommunityResult& entry : entries_) {
+      if (!entry.influence.vertices.empty()) continue;
+      [[maybe_unused]] const double score = entry.score();
+      entry.influence = engine.Compute(entry.community.vertices, theta);
+      TOPL_DCHECK(entry.score() == score,
+                  "score-only σ differs from the influenced community's");
+    }
   }
 
   /// Current contents, unordered (snapshot callers sort a copy).
@@ -229,7 +240,7 @@ class PlanCursor {
   std::priority_queue<HeapEntry> heap_;
 };
 
-// Score-stage memo: σ(g) of every seed set already propagated within one
+// Score-stage memo: σ(g) of every seed set already scored within one
 // query. Neighbouring centers often peel down to the same k-truss, and θ is
 // fixed within a query, so the sorted member list alone determines σ(g). Keys
 // are compared in full (the hash only buckets them). Only scores are kept,
@@ -243,7 +254,7 @@ class ScoreMemo {
   }
 
   void Insert(const std::vector<VertexId>& seeds, double score) {
-    scores_.emplace(seeds, score);
+    scores_.try_emplace(seeds, score);
   }
 
  private:
@@ -261,16 +272,8 @@ class ScoreMemo {
 // Score stage: refines one chunk of candidate centers with the given
 // share-nothing scratch. Results and counters land in chunk-local state, so
 // concurrent chunks never touch shared memory.
-struct RefinedCandidate {
-  CommunityResult result;
-  // False for a repeat of a seed set this query already scored: only
-  // result.influence.score is set, and the merge propagates it again (for
-  // gInf) only if the collector admits that score.
-  bool propagated = false;
-};
-
 struct ChunkOutput {
-  std::vector<RefinedCandidate> found;
+  std::vector<CommunityResult> found;  // σ only; gInf is built at output
   std::uint64_t refined = 0;
   std::uint64_t propagations = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
@@ -278,17 +281,19 @@ struct ChunkOutput {
   std::uint64_t support_recomputes_avoided = 0;
 };
 
+// Each new seed set gets one score-only propagation (bit-equal to
+// Compute(seeds, θ).score), and a repeat takes its σ from a memo.
 // `query_memo` holds the seed sets scored by earlier waves and is only read
 // here (workers share it); `worker_memo` is the calling worker's own record of
-// the seed sets it scored in this wave. The chunk accumulates in a local and
-// writes its slot once: neighbouring slots share cache lines, and a candidate
-// the center-degree precheck rejects costs less than a line bouncing between
-// cores.
+// the seed sets it scored in this wave (the inline path passes the query memo
+// as both). The chunk accumulates in a local and writes its slot once:
+// neighbouring slots share cache lines, and a candidate the center-degree
+// precheck rejects costs less than a line bouncing between cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
-                 const KeywordMatch& match, SeedCommunityExtractor& extractor,
-                 PropagationEngine& engine, const ScoreMemo& query_memo,
-                 ScoreMemo* worker_memo, const CancelToken& cancel,
-                 const DeadlineClock& deadline, ChunkOutput* slot) {
+                 const KeywordMatch& match, RefineScratch& scratch,
+                 const ScoreMemo& query_memo, ScoreMemo* worker_memo,
+                 const CancelToken& cancel, const DeadlineClock& deadline,
+                 ChunkOutput* slot) {
   if (cancel.cancelled() || deadline.Expired()) {
     slot->skipped += candidates.size();
     return;
@@ -297,24 +302,25 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
   for (VertexId v : candidates) {
     ++out.refined;
     CommunityResult candidate;
-    const bool found = extractor.Extract(
+    const bool found = scratch.extractor.Extract(
         v, query, SeedCommunityExtractor::Mode::kIncremental,
         &candidate.community, &match);
-    out.triangles_inspected += extractor.last_triangles_inspected();
-    out.support_recomputes_avoided += extractor.last_support_recomputes_avoided();
+    out.triangles_inspected += scratch.extractor.last_triangles_inspected();
+    out.support_recomputes_avoided +=
+        scratch.extractor.last_support_recomputes_avoided();
     if (!found) continue;
     const std::vector<VertexId>& seeds = candidate.community.vertices;
     std::optional<double> known = query_memo.Find(seeds);
     if (!known) known = worker_memo->Find(seeds);
     if (known) {
       candidate.influence.score = *known;
-      out.found.push_back({std::move(candidate), false});
-      continue;
+    } else {
+      scratch.engine.ComputeScores(seeds, {&query.theta, 1},
+                                   {&candidate.influence.score, 1});
+      ++out.propagations;
+      worker_memo->Insert(seeds, candidate.score());
     }
-    candidate.influence = engine.Compute(seeds, query.theta);
-    ++out.propagations;
-    worker_memo->Insert(seeds, candidate.score());
-    out.found.push_back({std::move(candidate), true});
+    out.found.push_back(std::move(candidate));
   }
   *slot = std::move(out);
 }
@@ -348,8 +354,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   Timer timer;
   TopLResult result;
   QueryStats& stats = result.stats;
-  // The calling thread's scratch: every inline refinement and merge-time
-  // propagation, and the chunks it claims on the parallel path.
+  // The calling thread's scratch: every inline refinement, every gInf build,
+  // and the chunks it claims on the parallel path.
   const RefineScratchPool::Lease own(scratch_.get());
 
   // Score bounds are valid only for the largest pre-selected θ_z ≤ θ.
@@ -385,23 +391,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   std::size_t wave_target =
       parallel ? std::max<std::size_t>(query.top_l, chunk_size) : 1;
 
-  // Scores the calling thread merges. `known` is σ of a seed set this query
-  // already propagated: the propagation (needed now only for gInf) then runs
-  // only if the collector admits that σ, since Offer would reject it anyway.
+  // σ of every seed set this query has scored; the merge extends it.
   ScoreMemo memo;
-  auto score_and_offer = [&](CommunityResult&& candidate,
-                             std::optional<double> known) {
-    if (known && !collector.Admits(*known, candidate.community.center)) {
-      return false;
-    }
-    candidate.influence =
-        own->engine.Compute(candidate.community.vertices, query.theta);
-    ++stats.propagations;
-    TOPL_DCHECK(!known || *known == candidate.score(),
-                "memoized influence score differs from its propagation");
-    if (!known) memo.Insert(candidate.community.vertices, candidate.score());
-    return collector.Offer(std::move(candidate));
-  };
 
   // The wave being scored, and on the parallel path the next one, which the
   // calling thread plans while the pool scores the current wave. Each wave's
@@ -445,6 +436,21 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
 
     bool merged_any = false;
     std::uint64_t skipped = 0;
+    // Merge: fold one refined chunk's counters, remember its scores for
+    // later waves, and offer its communities (σ only) to the collector.
+    auto merge = [&](ChunkOutput& out) {
+      stats.candidates_refined += out.refined;
+      stats.communities_found += out.found.size();
+      stats.propagations += out.propagations;
+      stats.triangles_inspected += out.triangles_inspected;
+      stats.support_recomputes_avoided += out.support_recomputes_avoided;
+      skipped += out.skipped;
+      for (CommunityResult& found : out.found) {
+        memo.Insert(found.community.vertices, found.score());
+        merged_any |= collector.Offer(std::move(found));
+      }
+    };
+    const std::span<const VertexId> wave_span(wave);
     if (!parallel || wave.size() <= chunk_size) {
       // Score + merge inline on the calling thread, one candidate at a time
       // with the *live* threshold: merging each refined community before
@@ -452,30 +458,17 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       // this very wave (e.g. within one gathered leaf) prune its remaining
       // candidates — the classic loop's refine-then-reprune cadence.
       const bool live_pruning = options.use_score_pruning && z >= 0;
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        if (control.cancel.cancelled() || deadline.Expired()) {
-          skipped = wave.size() - i;
-          break;
-        }
-        const VertexId v = wave[i];
+      for (std::size_t i = 0; i < wave.size() && skipped == 0; ++i) {
         if (live_pruning && collector.Full() &&
-            pre_->ScoreBound(v, query.radius, static_cast<std::uint32_t>(z)) <
+            pre_->ScoreBound(wave[i], query.radius, static_cast<std::uint32_t>(z)) <
                 collector.threshold()) {
           ++stats.pruned_score;
           continue;
         }
-        ++stats.candidates_refined;
-        CommunityResult candidate;
-        const bool found = own->extractor.Extract(
-            v, query, SeedCommunityExtractor::Mode::kIncremental,
-            &candidate.community, &keyword_match_);
-        stats.triangles_inspected += own->extractor.last_triangles_inspected();
-        stats.support_recomputes_avoided +=
-            own->extractor.last_support_recomputes_avoided();
-        if (!found) continue;
-        ++stats.communities_found;
-        const std::optional<double> known = memo.Find(candidate.community.vertices);
-        merged_any |= score_and_offer(std::move(candidate), known);
+        ChunkOutput out;
+        RefineChunk(wave_span.subspan(i, 1), query, keyword_match_, *own, memo,
+                    &memo, control.cancel, deadline, &out);
+        merge(out);
       }
     } else {
       // Score: fan the wave out over the pool. Chunks are claimed from a
@@ -492,7 +485,6 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       const std::size_t num_chunks = (wave.size() + chunk_size - 1) / chunk_size;
       std::vector<ChunkOutput> outputs(num_chunks);
       std::atomic<std::size_t> next_chunk{0};
-      const std::span<const VertexId> wave_span(wave);
       auto refine_chunks = [&](RefineScratch* scratch) {
         std::optional<RefineScratchPool::Lease> leased;
         ScoreMemo worker_memo;
@@ -503,9 +495,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      keyword_match_, scratch->extractor, scratch->engine,
-                      memo, &worker_memo, control.cancel, deadline,
-                      &outputs[c]);
+                      keyword_match_, *scratch, memo, &worker_memo,
+                      control.cancel, deadline, &outputs[c]);
         }
       };
       // No more tasks than the process has CPUs: on an oversubscribed pool a
@@ -530,23 +521,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       refine_chunks(&*own);
       group.Wait();
       stats.parallel_chunks += num_chunks;
-      for (ChunkOutput& out : outputs) {
-        stats.candidates_refined += out.refined;
-        stats.communities_found += out.found.size();
-        stats.propagations += out.propagations;
-        stats.triangles_inspected += out.triangles_inspected;
-        stats.support_recomputes_avoided += out.support_recomputes_avoided;
-        skipped += out.skipped;
-        for (RefinedCandidate& found : out.found) {
-          if (found.propagated) {
-            memo.Insert(found.result.community.vertices, found.result.score());
-            merged_any |= collector.Offer(std::move(found.result));
-          } else {
-            const double known = found.result.score();
-            merged_any |= score_and_offer(std::move(found.result), known);
-          }
-        }
-      }
+      for (ChunkOutput& out : outputs) merge(out);
     }
 
     if (skipped > 0) {
@@ -559,6 +534,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     }
 
     if (checkpoints && control.on_progress && merged_any && !stopped) {
+      collector.BuildInfluence(own->engine, query.theta);
       progressive_snapshot.assign(collector.entries().begin(),
                                   collector.entries().end());
       SortCommunityResults(&progressive_snapshot);
@@ -577,6 +553,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     }
   }
 
+  collector.BuildInfluence(own->engine, query.theta);
   result.communities = collector.Take();
   SortCommunityResults(&result.communities);
   stats.elapsed_seconds = timer.ElapsedSeconds();

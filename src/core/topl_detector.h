@@ -50,15 +50,18 @@ class RefineScratchPool : public LeasePool<RefineScratch> {
 ///    rules (Lemmas 1, 2, 4) at leaf vertices. The traversal is exposed as a
 ///    cursor that yields *waves* of surviving candidate centers.
 ///  - Score: each wave's candidates are refined — maximal seed community
-///    extraction plus exact MIA propagation — either inline (sequential) or
-///    fanned out in chunks over a ThreadPool (SearchControl::pool). While the
-///    pool scores a wave, the calling thread plans the next one, then claims
-///    chunks of the wave itself. A per-query memo of σ(g) by seed set means
-///    a community reached from several centers is propagated once, and again
-///    only if its known σ still enters the top-L.
-///  - Merge: refined communities fold into a bounded top-L collector ordered
-///    by the canonical total order (σ desc, center asc), whose L-th entry
-///    drives the score pruning / early-termination threshold of later waves.
+///    extraction plus an exact score-only MIA propagation of σ(g) — either
+///    inline (sequential) or fanned out in chunks over a ThreadPool
+///    (SearchControl::pool). While the pool scores a wave, the calling thread
+///    plans the next one, then claims chunks of the wave itself. A per-query
+///    memo of σ(g) by seed set means a community reached from several centers
+///    is scored once.
+///  - Merge: refined communities, carrying σ only, fold into a bounded top-L
+///    collector ordered by the canonical total order (σ desc, center asc),
+///    whose L-th entry drives the score pruning / early-termination
+///    threshold of later waves. The collector builds gInf (a full
+///    propagation) only for the entries it holds right before a progressive
+///    snapshot and before the answer is returned, each entry at most once.
 ///
 /// Because candidates are pruned only when their upper bound is *strictly*
 /// below the threshold and the collector's order is total, the final answer

@@ -86,8 +86,9 @@ class PropagationEngine {
     bool operator<(const HeapEntry& other) const { return prob < other.prob; }
   };
 
-  // Largest arc probability of *graph_, scanned on first use so engines
-  // that only run Compute never pay for it.
+  // Largest arc probability of *graph_, scanned once per engine on the first
+  // ComputeScores call: one O(m) pass per refining thread's engine, so per
+  // snapshot on the query path. Engines that only run Compute never pay it.
   double MaxArcProb();
 
   const Graph* graph_;

@@ -53,7 +53,6 @@
 #include "index/precompute.h"
 #include "index/tree_index.h"
 #include "influence/diversity.h"
-#include "influence/ic_simulator.h"
 #include "influence/influence_calculator.h"
 #include "influence/propagation.h"
 #include "keywords/bit_vector.h"

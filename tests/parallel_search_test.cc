@@ -5,8 +5,11 @@
 // monotonically to the exact answer.
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "core/topl_detector.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "influence/propagation.h"
 #include "tests/test_util.h"
 
 namespace topl {
@@ -192,6 +196,29 @@ TEST(ParallelSearchTest, GenerousDeadlineDoesNotTruncate) {
   ExpectIdentical(controlled->communities, plain->communities, "deadline-noop");
 }
 
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+// The score stage ranks by σ alone and builds gInf only for the communities
+// it outputs, so every streamed or returned community must carry exactly the
+// gInf a fresh propagation of its seed set gives.
+void ExpectExactInfluence(const Graph& g, std::span<const CommunityResult> got,
+                          double theta, const std::string& label) {
+  for (const CommunityResult& c : got) {
+    const InfluencedCommunity want =
+        PropagationEngine(g).Compute(c.community.vertices, theta);
+    const std::string where = label + " center " + std::to_string(c.community.center);
+    EXPECT_EQ(c.influence.vertices, want.vertices) << where;
+    EXPECT_EQ(Bits(c.influence.cpp), Bits(want.cpp)) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.score()),
+              std::bit_cast<std::uint64_t>(want.score))
+        << where;
+  }
+}
+
 TEST(ParallelSearchTest, ProgressiveUpdatesConvergeToExactAnswer) {
   const Graph g = MakeRandomGraph(11);
   const BuiltIndex built = BuildIndexFor(g);
@@ -205,35 +232,44 @@ TEST(ParallelSearchTest, ProgressiveUpdatesConvergeToExactAnswer) {
 
   Result<TopLResult> exact = detector.Search(q);
   ASSERT_TRUE(exact.ok());
+  ExpectExactInfluence(g, exact->communities, q.theta, "exact");
 
-  std::vector<double> best_scores;
-  std::vector<double> bounds;
-  SearchControl control;
-  control.on_progress = [&](const ProgressiveUpdate& update) {
-    if (!update.communities.empty()) {
-      best_scores.push_back(update.communities.front().score());
-      // Canonical order within every update.
-      for (std::size_t i = 1; i < update.communities.size(); ++i) {
-        EXPECT_TRUE(!BetterCommunity(update.communities[i],
-                                     update.communities[i - 1]));
+  ThreadPool pool(4);
+  for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string label = use_pool == nullptr ? "sequential" : "pool";
+    std::vector<double> best_scores;
+    std::vector<double> bounds;
+    SearchControl control;
+    control.pool = use_pool;
+    control.on_progress = [&](const ProgressiveUpdate& update) {
+      if (!update.communities.empty()) {
+        best_scores.push_back(update.communities.front().score());
+        // Canonical order within every update.
+        for (std::size_t i = 1; i < update.communities.size(); ++i) {
+          EXPECT_TRUE(!BetterCommunity(update.communities[i],
+                                       update.communities[i - 1]));
+        }
       }
-    }
-    bounds.push_back(update.upper_bound);
-    return true;
-  };
-  Result<TopLResult> progressive = detector.Search(q, QueryOptions(), control);
-  ASSERT_TRUE(progressive.ok());
-  EXPECT_FALSE(progressive->truncated);
-  ExpectIdentical(progressive->communities, exact->communities, "progressive");
+      ExpectExactInfluence(g, update.communities, q.theta,
+                           label + " wave " + std::to_string(update.wave));
+      bounds.push_back(update.upper_bound);
+      return true;
+    };
+    Result<TopLResult> progressive = detector.Search(q, QueryOptions(), control);
+    ASSERT_TRUE(progressive.ok());
+    EXPECT_FALSE(progressive->truncated);
+    ExpectIdentical(progressive->communities, exact->communities, label.c_str());
+    ExpectExactInfluence(g, progressive->communities, q.theta, label);
 
-  // The running best never regresses, and the final streamed best equals the
-  // exact top score.
-  for (std::size_t i = 1; i < best_scores.size(); ++i) {
-    EXPECT_GE(best_scores[i], best_scores[i - 1]);
-  }
-  if (!exact->communities.empty()) {
-    ASSERT_FALSE(best_scores.empty());
-    EXPECT_EQ(best_scores.back(), exact->communities.front().score());
+    // The running best never regresses, and the final streamed best equals
+    // the exact top score.
+    for (std::size_t i = 1; i < best_scores.size(); ++i) {
+      EXPECT_GE(best_scores[i], best_scores[i - 1]) << label;
+    }
+    if (!exact->communities.empty()) {
+      ASSERT_FALSE(best_scores.empty()) << label;
+      EXPECT_EQ(best_scores.back(), exact->communities.front().score()) << label;
+    }
   }
 }
 
@@ -247,29 +283,35 @@ TEST(ParallelSearchTest, ProgressiveCallbackCanStopEarly) {
   q.radius = 2;
   q.theta = 0.2;
   q.top_l = 3;
+  Result<TopLResult> exact = detector.Search(q);
+  ASSERT_TRUE(exact.ok());
 
-  int updates = 0;
-  SearchControl control;
-  control.on_progress = [&](const ProgressiveUpdate&) {
-    ++updates;
-    return false;  // stop after the first update
-  };
-  Result<TopLResult> result = detector.Search(q, QueryOptions(), control);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(updates, 1);
-  EXPECT_FALSE(result->communities.empty());
-  if (!result->communities.empty()) {
+  ThreadPool pool(4);
+  for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string label = use_pool == nullptr ? "sequential" : "pool";
+    int updates = 0;
+    SearchControl control;
+    control.pool = use_pool;
+    control.on_progress = [&](const ProgressiveUpdate& update) {
+      ++updates;
+      ExpectExactInfluence(g, update.communities, q.theta, label + " update");
+      return false;  // stop after the first update
+    };
+    Result<TopLResult> result = detector.Search(q, QueryOptions(), control);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(updates, 1) << label;
+    EXPECT_TRUE(result->truncated) << label;
+    EXPECT_FALSE(result->communities.empty()) << label;
+    ExpectExactInfluence(g, result->communities, q.theta, label + " returned");
     // Anytime contract: any community the stopped run missed scores at most
     // the reported upper bound.
-    Result<TopLResult> exact = detector.Search(q);
-    ASSERT_TRUE(exact.ok());
     for (const CommunityResult& community : exact->communities) {
       bool returned = false;
       for (const CommunityResult& got : result->communities) {
         if (got.community.center == community.community.center) returned = true;
       }
       if (!returned) {
-        EXPECT_LE(community.score(), result->score_upper_bound);
+        EXPECT_LE(community.score(), result->score_upper_bound) << label;
       }
     }
   }

@@ -256,10 +256,18 @@ void ExpectScoresMatchOnEveryBall(const Graph& g, const std::string& name) {
     for (std::uint32_t r = 1; r <= 3; ++r) {
       ASSERT_TRUE(extractor.Extract(v, r, {}, &lg));
       for (const std::vector<double>& thetas : ThetaSets()) {
+        const std::string label = name + " v=" + std::to_string(v) + " r=" +
+                                  std::to_string(r) +
+                                  " theta_min=" + std::to_string(thetas.front());
         const std::vector<double> want = ReferenceScores(engine, lg.global_ids, thetas);
-        ExpectBitEqual(FastScores(engine, lg.global_ids, thetas), want,
-                       name + " v=" + std::to_string(v) + " r=" + std::to_string(r) +
-                           " theta_min=" + std::to_string(thetas.front()));
+        const std::vector<double> got = FastScores(engine, lg.global_ids, thetas);
+        ExpectBitEqual(got, want, label);
+        if (thetas.size() == 1) {
+          // The detectors rank by this σ and build gInf with Compute only for
+          // the communities they return, so the two must agree exactly.
+          ExpectBitEqual(got, {engine.Compute(lg.global_ids, thetas.front()).score},
+                         label + " vs Compute");
+        }
         if (::testing::Test::HasFailure()) return;
       }
     }
