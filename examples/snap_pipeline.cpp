@@ -3,8 +3,7 @@
 // a binary artifact, and serve queries through topl::Engine — the workflow
 // for running this library against your own datasets. The first Engine::Open
 // builds and persists the index; the second demonstrates a warm start that
-// loads it, then answers a single query, a fanned-out batch, and an async
-// submission.
+// loads it, then answers a single query and a fanned-out batch.
 //
 //   $ ./example_snap_pipeline [edge_list.txt [workdir]]
 //
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
                 c.influence.size());
   }
 
-  // -- 5. Serving: batched and async queries over the same engine ------------
+  // -- 5. Serving: a batch of queries over the same engine --------------------
   std::vector<Query> batch(4, query);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i].top_l = 1 + static_cast<std::uint32_t>(i);
@@ -123,10 +122,7 @@ int main(int argc, char** argv) {
   for (const Result<TopLResult>& r : batch_answers) {
     if (r.ok()) ++batch_ok;
   }
-  std::future<Result<TopLResult>> async_answer = (*engine)->Submit(query);
-  const bool async_ok = async_answer.get().ok();
-  std::printf("batch of %zu: %zu ok; async query: %s\n", batch.size(), batch_ok,
-              async_ok ? "ok" : "failed");
+  std::printf("batch of %zu: %zu ok\n", batch.size(), batch_ok);
   std::printf("engine stats: %s\n", (*engine)->Stats().ToString().c_str());
   return 0;
 }

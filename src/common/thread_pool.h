@@ -33,7 +33,7 @@ std::size_t ProcessCpuCount();
 ///
 ///  - Submit: enqueues one task on persistent queue workers (started by the
 ///    constructor, joined by the destructor) and returns a std::future for
-///    its result. This backs Engine::Submit's async query serving. Tasks run
+///    its result. TaskGroup offers its subtasks through this queue. Tasks run
 ///    FIFO and never on the calling thread; a task must not block on another
 ///    task submitted to the same pool, or all queue workers can end up
 ///    waiting on queued work.

@@ -332,42 +332,27 @@ std::size_t Engine::pooled_contexts() const {
 
 std::size_t Engine::pooled_scratch() const { return snapshot()->scratch->size(); }
 
-Result<TopLResult> Engine::SearchOnContext(WorkerContext* context,
-                                           QueryKind kind, const Query& query,
-                                           const QueryOptions& options,
-                                           const SearchControl& control) {
-  Timer timer;
-  Result<TopLResult> result = context->topl.Search(query, options, control);
-  context->stats.Record(kind, /*diversified=*/false, result.ok(),
-                        result.ok() && result->truncated,
-                        timer.ElapsedSeconds(),
-                        result.ok() ? result->stats : QueryStats{});
-  return result;
-}
+namespace {
 
-Result<DTopLResult> Engine::SearchDiversifiedOnContext(
-    WorkerContext* context, QueryKind kind, const Query& query,
-    const DTopLOptions& options, const SearchControl& control) {
-  if (!context->dtopl.has_value()) {
-    const EngineSnapshot& snapshot = *context->snapshot;
-    context->dtopl.emplace(*snapshot.graph, *snapshot.pre, *snapshot.tree,
-                           snapshot.scratch);
-  }
-  Timer timer;
-  Result<DTopLResult> result = context->dtopl->Search(query, options, control);
-  context->stats.Record(kind, /*diversified=*/true, result.ok(),
-                        result.ok() && result->truncated,
-                        timer.ElapsedSeconds(),
-                        result.ok() ? result->candidate_stats : QueryStats{});
-  return result;
-}
+Status ShutdownStatus() { return Status::Unavailable("engine is shut down"); }
 
-SearchControl Engine::MakeControl(const ProgressiveOptions& options,
-                                  ProgressiveCallback on_update) {
+/// The control of a plain query: refinement fans out over `pool` in chunks
+/// of the ProgressiveOptions default size.
+SearchControl FanOutControl(ThreadPool& pool) {
   SearchControl control;
-  // Intra-query parallelism rides the same pool as batch fan-out and async
-  // serving; TaskGroup's help-first join keeps the combination deadlock-free.
-  if (options.parallel && pool_.num_threads() > 1) control.pool = &pool_;
+  if (pool.num_threads() > 1) control.pool = &pool;
+  control.chunk_size = ProgressiveOptions{}.chunk_size;
+  return control;
+}
+
+/// Translates engine-level progressive options into a detector control.
+SearchControl ProgressiveControl(ThreadPool& pool,
+                                 const ProgressiveOptions& options,
+                                 ProgressiveCallback on_update) {
+  SearchControl control;
+  // Intra-query parallelism rides the same pool as batch fan-out; TaskGroup's
+  // help-first join keeps the combination deadlock-free.
+  if (options.parallel && pool.num_threads() > 1) control.pool = &pool;
   control.chunk_size = options.chunk_size;
   control.deadline_seconds = options.deadline_seconds;
   control.cancel = options.cancel;
@@ -375,98 +360,60 @@ SearchControl Engine::MakeControl(const ProgressiveOptions& options,
   return control;
 }
 
-SearchControl Engine::FanOutControl() {
-  SearchControl control;
-  if (pool_.num_threads() > 1) control.pool = &pool_;
-  control.chunk_size = ProgressiveOptions{}.chunk_size;
-  return control;
-}
-
-Result<TopLResult> Engine::CachedSearch(QueryKind kind, const Query& query,
-                                        const QueryOptions& options,
-                                        WorkerContext* context,
-                                        const SearchControl& control) {
-  auto execute = [&](WorkerContext* ctx) {
-    return SearchOnContext(ctx, kind, query, options, control);
-  };
-  auto run = [&](auto&& body) -> Result<TopLResult> {
-    if (context != nullptr) return body(context);
-    ContextLease lease(this);
-    return body(lease.get());
-  };
-  // Invalid queries take the execution path so they fail with exactly the
-  // detector's status (a canonicalized key would otherwise let a permuted
-  // keyword list hit where a cache-disabled engine rejects it).
-  if (cache_ == nullptr || !query.Validate().ok() ||
-      !QueryCache::Cacheable(query, *snapshot()->pre)) {
-    return run(execute);
-  }
-  const CacheKey key = CacheKey::ForTopL(query, options);
-  const QueryCache::LookupResult lookup = cache_->Lookup(key);
-  if (lookup.hit) return *lookup.answer.topl;
-  if (!lookup.leader) {
-    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
-    if (!shared.ok()) return shared.status();
-    return *shared->topl;
-  }
-  std::uint64_t executed_epoch = 0;
-  Result<TopLResult> result = run([&](WorkerContext* ctx) {
-    executed_epoch = ctx->snapshot->epoch;
-    return execute(ctx);
-  });
-  if (result.ok()) {
-    cache_->FillTopL(key, lookup.flight, executed_epoch,
-                     std::make_shared<const TopLResult>(*result));
-  } else {
-    cache_->Abandon(key, lookup.flight, result.status());
-  }
-  return result;
-}
-
-Result<DTopLResult> Engine::CachedSearchDiversified(QueryKind kind,
-                                                    const Query& query,
-                                                    const DTopLOptions& options,
-                                                    WorkerContext* context,
-                                                    const SearchControl& control) {
-  auto execute = [&](WorkerContext* ctx) {
-    return SearchDiversifiedOnContext(ctx, kind, query, options, control);
-  };
-  auto run = [&](auto&& body) -> Result<DTopLResult> {
-    if (context != nullptr) return body(context);
-    ContextLease lease(this);
-    return body(lease.get());
-  };
-  if (cache_ == nullptr || !query.Validate().ok() ||
-      !QueryCache::Cacheable(query, *snapshot()->pre)) {
-    return run(execute);
-  }
-  const CacheKey key = CacheKey::ForDTopL(query, options);
-  const QueryCache::LookupResult lookup = cache_->Lookup(key);
-  if (lookup.hit) return *lookup.answer.dtopl;
-  if (!lookup.leader) {
-    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
-    if (!shared.ok()) return shared.status();
-    return *shared->dtopl;
-  }
-  std::uint64_t executed_epoch = 0;
-  Result<DTopLResult> result = run([&](WorkerContext* ctx) {
-    executed_epoch = ctx->snapshot->epoch;
-    return execute(ctx);
-  });
-  if (result.ok()) {
-    cache_->FillDTopL(key, lookup.flight, executed_epoch,
-                      std::make_shared<const DTopLResult>(*result));
-  } else {
-    cache_->Abandon(key, lookup.flight, result.status());
-  }
-  return result;
-}
-
-namespace {
-
-Status ShutdownStatus() { return Status::Unavailable("engine is shut down"); }
-
 }  // namespace
+
+template <>
+struct Engine::KindTraits<QueryOptions> {
+  using Answer = TopLResult;
+  static constexpr bool kDiversified = false;
+  static constexpr QueryKind kPlainKind = QueryKind::kSearch;
+  static TopLDetector& Detector(WorkerContext& context) { return context.topl; }
+  static const QueryStats& Stats(const TopLResult& result) {
+    return result.stats;
+  }
+  static CacheKey Key(const Query& query, const QueryOptions& options) {
+    return CacheKey::ForTopL(query, options);
+  }
+  static const TopLResult& Cached(const QueryCache::CachedAnswer& answer) {
+    return *answer.topl;
+  }
+  static void Fill(QueryCache& cache, const CacheKey& key,
+                   const std::shared_ptr<QueryCache::Flight>& flight,
+                   std::uint64_t epoch, const TopLResult& result) {
+    cache.FillTopL(key, flight, epoch, std::make_shared<const TopLResult>(result));
+  }
+};
+
+template <>
+struct Engine::KindTraits<DTopLOptions> {
+  using Answer = DTopLResult;
+  static constexpr bool kDiversified = true;
+  static constexpr QueryKind kPlainKind = QueryKind::kDiversified;
+  /// Built on the context's first diversified query.
+  static DTopLDetector& Detector(WorkerContext& context) {
+    if (!context.dtopl.has_value()) {
+      const EngineSnapshot& snapshot = *context.snapshot;
+      context.dtopl.emplace(*snapshot.graph, *snapshot.pre, *snapshot.tree,
+                            snapshot.scratch);
+    }
+    return *context.dtopl;
+  }
+  static const QueryStats& Stats(const DTopLResult& result) {
+    return result.candidate_stats;
+  }
+  static CacheKey Key(const Query& query, const DTopLOptions& options) {
+    return CacheKey::ForDTopL(query, options);
+  }
+  static const DTopLResult& Cached(const QueryCache::CachedAnswer& answer) {
+    return *answer.dtopl;
+  }
+  static void Fill(QueryCache& cache, const CacheKey& key,
+                   const std::shared_ptr<QueryCache::Flight>& flight,
+                   std::uint64_t epoch, const DTopLResult& result) {
+    cache.FillDTopL(key, flight, epoch,
+                    std::make_shared<const DTopLResult>(result));
+  }
+};
 
 Status Engine::ShedStatus() const {
   return Status::Unavailable(
@@ -475,109 +422,102 @@ Status Engine::ShedStatus() const {
       " (retry with backoff)");
 }
 
+template <typename Options>
+Result<typename Engine::KindTraits<Options>::Answer> Engine::Execute(
+    QueryKind kind, const Query& query, const Options& options,
+    const SearchControl& control, WorkerContext* context) {
+  using Traits = KindTraits<Options>;
+  using Answer = typename Traits::Answer;
+  std::uint64_t executed_epoch = 0;
+  auto run = [&]() -> Result<Answer> {
+    std::optional<ContextLease> lease;
+    WorkerContext* ctx = context != nullptr ? context : lease.emplace(this).get();
+    executed_epoch = ctx->snapshot->epoch;
+    Timer timer;
+    Result<Answer> result = Traits::Detector(*ctx).Search(query, options, control);
+    ctx->stats.Record(kind, Traits::kDiversified, result.ok(),
+                      result.ok() && result->truncated, timer.ElapsedSeconds(),
+                      result.ok() ? Traits::Stats(*result) : QueryStats{});
+    return result;
+  };
+  // Invalid queries take the execution path so they fail with exactly the
+  // detector's status (a canonicalized key would otherwise let a permuted
+  // keyword list hit where a cache-disabled engine rejects it).
+  if (kind == QueryKind::kProgressive || cache_ == nullptr ||
+      !query.Validate().ok() ||
+      !QueryCache::Cacheable(query, *snapshot()->pre)) {
+    return run();
+  }
+  const CacheKey key = Traits::Key(query, options);
+  const QueryCache::LookupResult lookup = cache_->Lookup(key);
+  if (lookup.hit) return Traits::Cached(lookup.answer);
+  if (!lookup.leader) {
+    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
+    if (!shared.ok()) return shared.status();
+    return Traits::Cached(*shared);
+  }
+  Result<Answer> result = run();
+  if (result.ok()) {
+    Traits::Fill(*cache_, key, lookup.flight, executed_epoch, *result);
+  } else {
+    cache_->Abandon(key, lookup.flight, result.status());
+  }
+  return result;
+}
+
+template <typename Options>
+Result<typename Engine::KindTraits<Options>::Answer> Engine::Serve(
+    const Query& query, const Options& options,
+    const ProgressiveOptions* progressive, ProgressiveCallback on_update) {
+  AdmissionGuard admit(this);
+  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
+  if (admit.result() == Admission::kAdmitted) {
+    if (progressive == nullptr) {
+      return Execute(KindTraits<Options>::kPlainKind, query, options,
+                     FanOutControl(pool_), /*context=*/nullptr);
+    }
+    return Execute(QueryKind::kProgressive, query, options,
+                   ProgressiveControl(pool_, *progressive, std::move(on_update)),
+                   /*context=*/nullptr);
+  }
+  if (progressive == nullptr || progressive->deadline_seconds <= 0.0) {
+    shed_queries_.fetch_add(1, std::memory_order_relaxed);
+    return ShedStatus();
+  }
+  // The caller brought a deadline, so it already accepts anytime answers.
+  ProgressiveOptions degraded = *progressive;
+  degraded.deadline_seconds = 1e-9;
+  degraded.parallel = false;
+  Result<typename KindTraits<Options>::Answer> result =
+      Execute(QueryKind::kProgressive, query, options,
+              ProgressiveControl(pool_, degraded, nullptr), /*context=*/nullptr);
+  degraded_queries_.fetch_add(1, std::memory_order_relaxed);
+  if (result.ok()) result->degraded = true;
+  return result;
+}
+
 Result<TopLResult> Engine::Search(const Query& query, const QueryOptions& options) {
-  return AdmitSearch(query, options, FanOutControl());
+  return Serve(query, options, /*progressive=*/nullptr, nullptr);
 }
 
 Result<DTopLResult> Engine::SearchDiversified(const Query& query,
                                               const DTopLOptions& options) {
-  return AdmitSearchDiversified(query, options, FanOutControl());
-}
-
-Result<TopLResult> Engine::AdmitSearch(const Query& query,
-                                       const QueryOptions& options,
-                                       const SearchControl& control) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  return CachedSearch(QueryKind::kSearch, query, options, /*context=*/nullptr,
-                      control);
-}
-
-Result<DTopLResult> Engine::AdmitSearchDiversified(const Query& query,
-                                                   const DTopLOptions& options,
-                                                   const SearchControl& control) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  return CachedSearchDiversified(QueryKind::kDiversified, query, options,
-                                 /*context=*/nullptr, control);
-}
-
-Result<TopLResult> Engine::DegradedSearch(const Query& query,
-                                          const ProgressiveOptions& options) {
-  // The caller brought a deadline, so it already accepts anytime answers:
-  // run the progressive search with an immediately-expiring deadline and no
-  // pool fan-out. The detector stops at the first wave boundary, returning a
-  // valid truncated prefix plus the score upper bound — wave-boundary cost
-  // instead of full-query cost, without taking an admission slot.
-  ProgressiveOptions degraded = options;
-  degraded.deadline_seconds = 1e-9;
-  degraded.parallel = false;
-  ContextLease lease(this);
-  Result<TopLResult> result =
-      SearchOnContext(lease.get(), QueryKind::kProgressive, query,
-                      degraded.query, MakeControl(degraded, nullptr));
-  degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) result->degraded = true;
-  return result;
-}
-
-Result<DTopLResult> Engine::DegradedSearchDiversified(
-    const Query& query, const DTopLOptions& dtopl_options,
-    const ProgressiveOptions& options) {
-  ProgressiveOptions degraded = options;
-  degraded.deadline_seconds = 1e-9;
-  degraded.parallel = false;
-  ContextLease lease(this);
-  Result<DTopLResult> result = SearchDiversifiedOnContext(
-      lease.get(), QueryKind::kProgressive, query, dtopl_options,
-      MakeControl(degraded, nullptr));
-  degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) result->degraded = true;
-  return result;
+  return Serve(query, options, /*progressive=*/nullptr, nullptr);
 }
 
 Result<TopLResult> Engine::SearchProgressive(const Query& query,
                                              const ProgressiveOptions& options,
                                              ProgressiveCallback on_update) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    if (options.deadline_seconds > 0.0) return DegradedSearch(query, options);
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  ContextLease lease(this);
-  return SearchOnContext(lease.get(), QueryKind::kProgressive, query,
-                         options.query, MakeControl(options, std::move(on_update)));
+  return Serve(query, options.query, &options, std::move(on_update));
 }
 
 Result<DTopLResult> Engine::SearchDiversifiedProgressive(
     const Query& query, const DTopLOptions& dtopl_options,
     const ProgressiveOptions& options, ProgressiveCallback on_update) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    if (options.deadline_seconds > 0.0) {
-      return DegradedSearchDiversified(query, dtopl_options, options);
-    }
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  ContextLease lease(this);
   // Pruning toggles come from dtopl_options.topl_options, exactly as in
   // SearchDiversified — ProgressiveOptions::query applies to the TopL entry
   // point only, so the two DTopL paths can never diverge algorithmically.
-  return SearchDiversifiedOnContext(lease.get(), QueryKind::kProgressive, query,
-                                    dtopl_options,
-                                    MakeControl(options, std::move(on_update)));
+  return Serve(query, dtopl_options, &options, std::move(on_update));
 }
 
 std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queries,
@@ -592,17 +532,11 @@ std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queri
     }
     const Status status =
         admit.result() == Admission::kShutdown ? ShutdownStatus() : ShedStatus();
-    std::vector<Result<TopLResult>> rejected;
-    rejected.reserve(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) rejected.emplace_back(status);
-    return rejected;
+    return std::vector<Result<TopLResult>>(queries.size(), status);
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Result<TopLResult>> results;
-  results.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    results.emplace_back(Status::Internal("query was not executed"));
-  }
+  std::vector<Result<TopLResult>> results(
+      queries.size(), Status::Internal("query was not executed"));
   if (queries.empty()) return results;
 
   // One context leased per participating pool worker for the whole batch, so
@@ -615,46 +549,21 @@ std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queri
       std::min(pool_.num_threads(), queries.size() + 1);
   std::vector<WorkerContext*> leased(max_workers, nullptr);
   // grain=1: each query is its own unit of work, so the batch load-balances
-  // across workers even when per-query cost is highly skewed.
+  // across workers even when per-query cost is highly skewed. Each query runs
+  // on its worker's thread alone: the batch already occupies the pool.
   pool_.ParallelForWithWorker(
       0, queries.size(),
       [&](std::size_t worker, std::size_t i) {
         WorkerContext*& context = leased[worker];
         if (context == nullptr) context = AcquireContext();
-        results[i] = CachedSearch(QueryKind::kBatch, queries[i], options,
-                                  context, SearchControl{});
+        results[i] = Execute(QueryKind::kBatch, queries[i], options,
+                             SearchControl{}, context);
       },
       /*grain=*/1);
   for (WorkerContext* context : leased) {
     if (context != nullptr) ReleaseContext(context);
   }
   return results;
-}
-
-std::future<Result<TopLResult>> Engine::Submit(Query query, QueryOptions options) {
-  // Post-shutdown submission resolves to the typed status instead of the
-  // pool's std::runtime_error (the task body would return it anyway; this
-  // skips the detour through an exception for the common case).
-  if (shutdown_.load(std::memory_order_acquire)) {
-    std::promise<Result<TopLResult>> promise;
-    promise.set_value(ShutdownStatus());
-    return promise.get_future();
-  }
-  return pool_.Submit([this, query = std::move(query), options]() {
-    return AdmitSearch(query, options, SearchControl{});
-  });
-}
-
-std::future<Result<DTopLResult>> Engine::SubmitDiversified(Query query,
-                                                           DTopLOptions options) {
-  if (shutdown_.load(std::memory_order_acquire)) {
-    std::promise<Result<DTopLResult>> promise;
-    promise.set_value(ShutdownStatus());
-    return promise.get_future();
-  }
-  return pool_.Submit([this, query = std::move(query), options]() {
-    return AdmitSearchDiversified(query, options, SearchControl{});
-  });
 }
 
 Result<RebuildScope> Engine::ApplyUpdate(const GraphDelta& delta) {

@@ -2,7 +2,6 @@
 #define TOPL_ENGINE_ENGINE_H_
 
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,8 +73,6 @@ struct EngineSnapshot {
 ///    calling thread plans each next wave and refines beside the pool.
 ///  - SearchBatch: fans a whole batch out across the engine's ThreadPool,
 ///    one thread per query.
-///  - Submit / SubmitDiversified: async; the query runs on one pool worker
-///    and the caller gets a std::future.
 ///  - SearchProgressive / SearchDiversifiedProgressive: anytime queries —
 ///    intra-query parallel scoring over the same pool (unless
 ///    ProgressiveOptions::parallel is off), streamed intermediate answers
@@ -84,6 +81,12 @@ struct EngineSnapshot {
 ///
 /// A one-thread pool makes every entry point sequential. Fan-out never
 /// changes an answer, only which thread computes each part of it.
+///
+/// Every entry point, TopL or DTopL, takes one request path: admission
+/// (shutdown, shed, or degrade to an anytime answer), then the result cache
+/// (plain queries only), then a detector-context lease, then the detector,
+/// then the stats record. SearchBatch takes one admission slot for the whole
+/// batch and enters the path after it, on its worker's leased context.
 ///
 /// Every query's QueryStats and latency are folded into cumulative
 /// EngineStats through mutex-free per-context accumulators, with latency
@@ -142,9 +145,9 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Stops serving: every entry point called after this returns (or resolves
-  /// its future to) Status::Unavailable("engine is shut down"), queued async
-  /// tasks still run to completion, and the pool workers are joined.
+  /// Stops serving: every entry point called after this returns
+  /// Status::Unavailable("engine is shut down"), queries already running
+  /// finish, and the pool workers are joined.
   /// Idempotent; must not be called from inside a query callback or pool
   /// task. The destructor implies Shutdown.
   void Shutdown();
@@ -183,13 +186,6 @@ class Engine {
   /// never fails.
   std::vector<Result<TopLResult>> SearchBatch(std::span<const Query> queries,
                                               const QueryOptions& options = {});
-
-  /// Enqueues the query on the engine's async workers. The query runs on
-  /// one worker without fanning out, since queued queries already occupy
-  /// the pool.
-  std::future<Result<TopLResult>> Submit(Query query, QueryOptions options = {});
-  std::future<Result<DTopLResult>> SubmitDiversified(Query query,
-                                                     DTopLOptions options = {});
 
   /// Applies a graph delta and installs the resulting serving state as a new
   /// snapshot. Maintenance is incremental (IndexUpdater: only the update's
@@ -309,47 +305,36 @@ class Engine {
   WorkerContext* AcquireContext();
   void ReleaseContext(WorkerContext* context);
 
-  /// Search/SearchDiversified bodies running on an already-leased context.
-  /// `kind` tags the latency sample (per-kind percentiles).
-  Result<TopLResult> SearchOnContext(WorkerContext* context, QueryKind kind,
-                                     const Query& query,
-                                     const QueryOptions& options,
-                                     const SearchControl& control);
-  Result<DTopLResult> SearchDiversifiedOnContext(
-      WorkerContext* context, QueryKind kind, const Query& query,
-      const DTopLOptions& options, const SearchControl& control);
+  /// Everything the request path tells a TopL query from a DTopL one by —
+  /// answer type, detector, stats, cache key and fill — keyed by the query's
+  /// detector options (QueryOptions or DTopLOptions). Defined in engine.cc.
+  template <typename Options>
+  struct KindTraits;
 
-  /// Cache-aware Search/SearchDiversified bodies: validate → lookup →
-  /// single-flight → execute → fill (see cache/query_cache.h). `context` is
-  /// an already-leased context (batch workers execute on theirs) or nullptr
-  /// to lease one only if execution is actually needed. `control` is the
-  /// execution's fan-out (FanOutControl, or none). With the cache disabled
-  /// these degenerate to the plain execution path.
-  Result<TopLResult> CachedSearch(QueryKind kind, const Query& query,
-                                  const QueryOptions& options,
-                                  WorkerContext* context,
-                                  const SearchControl& control);
-  Result<DTopLResult> CachedSearchDiversified(QueryKind kind,
-                                              const Query& query,
-                                              const DTopLOptions& options,
-                                              WorkerContext* context,
-                                              const SearchControl& control);
+  /// The request path of every single-query entry point: admission, then
+  /// Execute. A null `progressive` is a plain query, refined over pool_ and
+  /// served through the cache. Otherwise the query runs under
+  /// `*progressive`'s control and streams to `on_update`; when the gate is
+  /// full and it brings a deadline, it is degraded instead of shed: it runs
+  /// with an immediately-expiring deadline and no fan-out, so it returns a
+  /// valid truncated anytime answer (correct communities prefix + score upper
+  /// bound) at wave-boundary cost, without taking an admission slot.
+  /// `options` holds the detector's toggles.
+  template <typename Options>
+  Result<typename KindTraits<Options>::Answer> Serve(
+      const Query& query, const Options& options,
+      const ProgressiveOptions* progressive, ProgressiveCallback on_update);
 
-  /// Search/SearchDiversified behind the admission gate; `control` as for
-  /// CachedSearch.
-  Result<TopLResult> AdmitSearch(const Query& query, const QueryOptions& options,
-                                 const SearchControl& control);
-  Result<DTopLResult> AdmitSearchDiversified(const Query& query,
-                                             const DTopLOptions& options,
-                                             const SearchControl& control);
-
-  /// The control of a synchronous query: refinement fans out over pool_ in
-  /// chunks of the ProgressiveOptions default size.
-  SearchControl FanOutControl();
-
-  /// Translates engine-level progressive options into a detector control.
-  SearchControl MakeControl(const ProgressiveOptions& options,
-                            ProgressiveCallback on_update);
+  /// The path past admission: the cache (every kind but kProgressive:
+  /// validate → lookup → single-flight → execute → fill, see
+  /// cache/query_cache.h), then a context lease, then the detector under
+  /// `control`, then the stats record tagged `kind`. `context` is an
+  /// already-leased context (batch workers execute on theirs) or nullptr to
+  /// lease one only if execution is actually needed.
+  template <typename Options>
+  Result<typename KindTraits<Options>::Answer> Execute(
+      QueryKind kind, const Query& query, const Options& options,
+      const SearchControl& control, WorkerContext* context);
 
   /// Outcome of the overload admission gate (max_in_flight_queries).
   enum class Admission {
@@ -382,16 +367,6 @@ class Engine {
     Engine* engine_;
     Admission result_;
   };
-
-  /// Overloaded-but-deadline-bearing queries take this path instead of being
-  /// shed: the search runs with an immediately-expiring deadline, so it
-  /// returns a valid truncated anytime answer (correct communities prefix +
-  /// score upper bound) at wave-boundary cost instead of full-query cost.
-  Result<TopLResult> DegradedSearch(const Query& query,
-                                    const ProgressiveOptions& options);
-  Result<DTopLResult> DegradedSearchDiversified(
-      const Query& query, const DTopLOptions& dtopl_options,
-      const ProgressiveOptions& options);
 
   /// Opens/creates the journal, replays its committed records through the
   /// normal update path (no re-append: journal_ is attached only afterwards)
@@ -459,14 +434,13 @@ class Engine {
   std::array<EngineStatsShard::Histogram, kNumQueryKinds> retired_buckets_{};
 
   /// Snapshot-epoch result cache; null unless
-  /// EngineOptions::enable_result_cache. Declared before pool_ so async
-  /// workers (which may lead or follow flights) are joined before the cache
-  /// is destroyed.
+  /// EngineOptions::enable_result_cache. Declared before pool_ so pool
+  /// workers (batch slots may lead or follow flights) are joined before the
+  /// cache is destroyed.
   std::unique_ptr<QueryCache> cache_;
 
-  // Declared last so its destructor — which drains and joins the async
-  // queue workers — runs before the contexts those workers may be using are
-  // destroyed.
+  // Declared last so its destructor — which joins the queue workers — runs
+  // before the contexts those workers may be using are destroyed.
   ThreadPool pool_;
 };
 

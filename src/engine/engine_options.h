@@ -85,9 +85,11 @@ struct EngineOptions {
   /// persisting (ArtifactWriteOptions::compress).
   bool compress_artifact = false;
 
-  /// Worker threads for SearchBatch fan-out and Submit async serving;
-  /// 0 = hardware concurrency. Independent of the number of pooled detector
-  /// contexts, which grows with the peak number of concurrent queries.
+  /// Worker threads for query fan-out (a plain or progressive query's
+  /// refinement, a SearchBatch's slots) and index updates; 0 =
+  /// ProcessCpuCount(), the CPUs of the process's affinity mask. Independent
+  /// of the number of pooled detector contexts, which grows with the peak
+  /// number of concurrent queries.
   std::size_t num_threads = 0;
 
   /// Snapshot-epoch result cache (cache/query_cache.h): plain (non-progressive)

@@ -18,9 +18,9 @@ namespace topl {
 /// latency profiles from interactive single queries, and mixing them into
 /// one histogram made p50/p99 meaningless for all of them.
 enum class QueryKind : std::uint8_t {
-  kSearch = 0,       ///< Search / Submit: one synchronous or async query
+  kSearch = 0,       ///< Search: one plain TopL query
   kBatch = 1,        ///< a SearchBatch slot
-  kDiversified = 2,  ///< SearchDiversified / SubmitDiversified
+  kDiversified = 2,  ///< SearchDiversified: one plain DTopL query
   kProgressive = 3,  ///< SearchProgressive / SearchDiversifiedProgressive
 };
 

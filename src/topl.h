@@ -14,7 +14,7 @@
 ///   auto answer = (*engine)->Search({.keywords = {1, 8, 21}});
 /// \endcode
 ///
-/// See engine/engine.h for batched (SearchBatch) and async (Submit) serving,
+/// See engine/engine.h for batched (SearchBatch) and progressive serving,
 /// and the individual headers below for the pipeline's building blocks
 /// (GraphBuilder / generators -> PrecomputedData -> TreeIndex -> detectors).
 

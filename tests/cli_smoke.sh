@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end smoke test of topl_cli: generate -> index build -> query ->
-# dtopl on a tiny graph, then the flag-validation contract: an unknown flag
+# dtopl -> batch on a tiny graph, then the flag-validation contract: an unknown flag
 # or a malformed number must exit 1 with an InvalidArgument error instead of
 # silently falling back to a default. Last, an `index migrate` round trip and
 # a query against a file that is not an index.
@@ -22,6 +22,24 @@ query="--graph=graph.bin --index=index.idx --keywords=1,8,21 --k=3 --r=2 \
 grep -q '^stats:' query.out
 "$cli" dtopl $query --algorithm=wp > dtopl.out
 grep -q '^diversity score' dtopl.out
+
+# batch answers a TopL line and a dtopl line, one report line each; a
+# malformed line fails the whole file with InvalidArgument before serving.
+printf '1,8,21 3 2 0.2 3\n1,8 3 2 0.2 3 dtopl\n' > queries.txt
+"$cli" batch --graph=graph.bin --index=index.idx --queries=queries.txt \
+  > batch.out
+test "$(grep -c '^query 1: ' batch.out)" -eq 1
+test "$(grep -c '^query 2 (dtopl): ' batch.out)" -eq 1
+test "$(grep -c '^query ' batch.out)" -eq 2
+printf '1,8,21 3 2 0.2x 3\n' > bad_queries.txt
+status=0
+"$cli" batch --graph=graph.bin --index=index.idx --queries=bad_queries.txt \
+  > /dev/null 2> err.out || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'InvalidArgument' err.out; then
+  echo "expected InvalidArgument for a malformed batch line (got $status)" >&2
+  cat err.out >&2
+  exit 1
+fi
 
 # expect_invalid FLAG=VALUE ARGS...: runs `topl_cli ARGS... --FLAG=VALUE`
 # and requires exit status 1 with an InvalidArgument message naming --FLAG.

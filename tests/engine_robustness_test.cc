@@ -7,11 +7,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -153,6 +153,11 @@ TEST_F(EngineRobustnessTest, FullEngineShedsWithRetryableStatus) {
       (*engine)->SearchDiversified(query, DTopLOptions());
   ASSERT_FALSE(shed_dtopl.ok());
   EXPECT_TRUE(shed_dtopl.status().IsUnavailable());
+  Result<DTopLResult> shed_dtopl_progressive =
+      (*engine)->SearchDiversifiedProgressive(query, DTopLOptions());
+  ASSERT_FALSE(shed_dtopl_progressive.ok());
+  EXPECT_TRUE(shed_dtopl_progressive.status().IsUnavailable())
+      << shed_dtopl_progressive.status().ToString();
 
   // A whole batch is rejected as one unit, every slot typed.
   const std::vector<Query> batch_queries = {query, query};
@@ -172,6 +177,12 @@ TEST_F(EngineRobustnessTest, FullEngineShedsWithRetryableStatus) {
       (*engine)->SearchProgressive(query, with_deadline);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->degraded);
+  Result<DTopLResult> degraded_dtopl = (*engine)->SearchDiversifiedProgressive(
+      query, DTopLOptions(), with_deadline);
+  ASSERT_TRUE(degraded_dtopl.ok()) << degraded_dtopl.status().ToString();
+  EXPECT_TRUE(degraded_dtopl->degraded);
+  EXPECT_TRUE(degraded_dtopl->truncated);
+  EXPECT_LE(degraded_dtopl->communities.size(), query.top_l);
 
   // Release the slot; the engine serves normally again.
   {
@@ -184,10 +195,10 @@ TEST_F(EngineRobustnessTest, FullEngineShedsWithRetryableStatus) {
   EXPECT_TRUE(after.ok()) << after.status().ToString();
 
   const EngineStats stats = (*engine)->Stats();
-  // search + dtopl + batch (one admission decision per batch, however many
-  // slots it rejects).
-  EXPECT_GE(stats.queries_shed, 3u);
-  EXPECT_GE(stats.queries_degraded, 1u);
+  // search + dtopl + deadline-less progressive dtopl + batch (one admission
+  // decision per batch, however many slots it rejects).
+  EXPECT_GE(stats.queries_shed, 4u);
+  EXPECT_GE(stats.queries_degraded, 2u);
   // Shed queries are rejections, not served queries.
   EXPECT_GE(stats.queries_total, 1u);
 }
@@ -201,9 +212,12 @@ TEST_F(EngineRobustnessTest, DegradedAnswerSatisfiesUpperBoundContract) {
   ASSERT_TRUE(engine.ok());
 
   for (const Query& query : QueryBattery()) {
-    // Full answer for reference (engine is idle here, so it admits).
+    // Full answers for reference (engine is idle here, so it admits).
     Result<TopLResult> full = (*engine)->Search(query);
     ASSERT_TRUE(full.ok()) << full.status().ToString();
+    Result<DTopLResult> full_dtopl =
+        (*engine)->SearchDiversified(query, DTopLOptions());
+    ASSERT_TRUE(full_dtopl.ok()) << full_dtopl.status().ToString();
 
     // Saturate, then issue the degradable query.
     std::mutex mu;
@@ -230,6 +244,9 @@ TEST_F(EngineRobustnessTest, DegradedAnswerSatisfiesUpperBoundContract) {
     with_deadline.deadline_seconds = 5.0;
     Result<TopLResult> degraded =
         (*engine)->SearchProgressive(query, with_deadline);
+    Result<DTopLResult> degraded_dtopl =
+        (*engine)->SearchDiversifiedProgressive(query, DTopLOptions(),
+                                                with_deadline);
     {
       std::lock_guard<std::mutex> lock(mu);
       release = true;
@@ -250,6 +267,26 @@ TEST_F(EngineRobustnessTest, DegradedAnswerSatisfiesUpperBoundContract) {
         EXPECT_EQ(score, degraded->communities[i].score()) << i;
       } else if (degraded->truncated) {
         EXPECT_LE(score, bound) << i;
+      }
+    }
+
+    // The degraded DTopL answer selects from a candidate pool cut at a wave
+    // boundary: a pool that was not truncated is the full one, and any
+    // community of the full answer the truncated pool missed scores at or
+    // below its bound.
+    ASSERT_TRUE(degraded_dtopl.ok()) << degraded_dtopl.status().ToString();
+    EXPECT_TRUE(degraded_dtopl->degraded);
+    ASSERT_LE(degraded_dtopl->communities.size(), query.top_l);
+    if (!degraded_dtopl->truncated) {
+      EXPECT_EQ(degraded_dtopl->pool_centers, full_dtopl->pool_centers);
+      continue;
+    }
+    const double dtopl_bound = degraded_dtopl->score_upper_bound + 1e-9;
+    for (const CommunityResult& c : full_dtopl->communities) {
+      if (std::find(degraded_dtopl->pool_centers.begin(),
+                    degraded_dtopl->pool_centers.end(),
+                    c.community.center) == degraded_dtopl->pool_centers.end()) {
+        EXPECT_LE(c.score(), dtopl_bound) << c.community.center;
       }
     }
   }
@@ -325,6 +362,10 @@ TEST_F(EngineRobustnessTest, ShutdownGivesTypedErrorsOnEveryEntryPoint) {
                   .status()
                   .IsUnavailable());
   EXPECT_TRUE((*engine)->SearchProgressive(query).status().IsUnavailable());
+  EXPECT_TRUE((*engine)
+                  ->SearchDiversifiedProgressive(query, DTopLOptions())
+                  .status()
+                  .IsUnavailable());
   GraphDelta delta;
   delta.AddKeyword(0, 9);
   EXPECT_TRUE((*engine)->ApplyUpdate(delta).status().IsUnavailable());
@@ -333,13 +374,6 @@ TEST_F(EngineRobustnessTest, ShutdownGivesTypedErrorsOnEveryEntryPoint) {
   std::vector<Result<TopLResult>> batch = (*engine)->SearchBatch(one_query);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch[0].status().IsUnavailable());
-
-  // Async submission resolves (never hangs, never aborts) to the same typed
-  // status.
-  std::future<Result<TopLResult>> future = (*engine)->Submit(query);
-  Result<TopLResult> resolved = future.get();
-  ASSERT_FALSE(resolved.ok());
-  EXPECT_TRUE(resolved.status().IsUnavailable());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -321,26 +320,6 @@ TEST_F(EngineTest, SearchBatchMatchesPerSlotSearch) {
     ASSERT_TRUE(expected.ok());
     ExpectSameCommunities(batch[i]->communities, expected->communities);
   }
-}
-
-TEST_F(EngineTest, SubmitResolvesFuturesToSameAnswers) {
-  std::vector<std::future<Result<TopLResult>>> futures;
-  for (const Query& query : world_->queries) {
-    futures.push_back(world_->engine->Submit(query));
-  }
-  std::future<Result<DTopLResult>> diversified = world_->engine->SubmitDiversified(
-      world_->queries.front(), DiversifiedOptions());
-
-  TopLDetector reference(world_->graph, world_->index.pre(), world_->index.tree);
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    Result<TopLResult> actual = futures[i].get();
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    Result<TopLResult> expected = reference.Search(world_->queries[i]);
-    ASSERT_TRUE(expected.ok());
-    ExpectSameCommunities(actual->communities, expected->communities);
-  }
-  Result<DTopLResult> dtopl = diversified.get();
-  ASSERT_TRUE(dtopl.ok()) << dtopl.status().ToString();
 }
 
 TEST_F(EngineTest, StatsAggregateAcrossQueries) {

@@ -756,7 +756,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   const bool quiet = FlagOr(flags, "quiet", "0") == "1";
 
   // TopL lines go through SearchBatch (one engine fan-out per repeat);
-  // DTopL lines are submitted async and collected afterwards.
+  // DTopL lines are answered afterwards, one SearchDiversified each.
   std::vector<Query> topl_queries;
   std::vector<std::size_t> topl_lines;
   std::vector<std::pair<std::size_t, const Query*>> dtopl_queries;
@@ -772,12 +772,6 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   Timer wall;
   for (std::uint64_t round = 0; round < repeat; ++round) {
     const bool report = !quiet && round == 0;
-    std::vector<std::future<Result<DTopLResult>>> dtopl_futures;
-    dtopl_futures.reserve(dtopl_queries.size());
-    for (const auto& [line, query] : dtopl_queries) {
-      dtopl_futures.push_back(
-          (*engine)->SubmitDiversified(*query, *dtopl_options));
-    }
     std::vector<Result<TopLResult>> answers =
         (*engine)->SearchBatch(topl_queries);
     for (std::size_t i = 0; i < answers.size(); ++i) {
@@ -794,17 +788,17 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                         : answers[i]->communities.front().score());
       }
     }
-    for (std::size_t i = 0; i < dtopl_futures.size(); ++i) {
-      Result<DTopLResult> answer = dtopl_futures[i].get();
+    for (const auto& [line, query] : dtopl_queries) {
+      Result<DTopLResult> answer =
+          (*engine)->SearchDiversified(*query, *dtopl_options);
       if (!answer.ok()) {
-        std::fprintf(stderr, "query %zu failed: %s\n",
-                     dtopl_queries[i].first + 1,
+        std::fprintf(stderr, "query %zu failed: %s\n", line + 1,
                      answer.status().ToString().c_str());
         continue;
       }
       if (report) {
         std::printf("query %zu (dtopl): %zu communities, D(S)=%.3f\n",
-                    dtopl_queries[i].first + 1, answer->communities.size(),
+                    line + 1, answer->communities.size(),
                     answer->diversity_score);
       }
     }
