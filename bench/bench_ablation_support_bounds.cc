@@ -1,4 +1,4 @@
-// Design-choice ablation (DESIGN.md §3): the paper's support pruning rule
+// Design-choice ablation (README, "Design notes"): the paper's support pruning rule
 // (max edge support within hop(v, r_max), Lemma 2/6) versus the strengthened
 // center-trussness bound this library adds on top. Both are safe; the
 // question is pruning power — especially on heterogeneous (power-law)

@@ -2,9 +2,9 @@
 #define TOPL_BENCH_BENCH_COMMON_H_
 
 // Shared helpers for every bench binary. The figure-reproduction benchmarks
-// (DESIGN.md §5) build the graphs + indexes they need once (cached per
-// process) and then time only the online phase, mirroring the paper's
-// offline/online split. The standalone benches (no google-benchmark) use
+// (README, "Design notes") build the graphs + indexes they need once
+// (cached per process) and then time only the online phase, mirroring the
+// paper's offline/online split. The standalone benches (no google-benchmark) use
 // the population-weighted keyword draw, the field-by-field answer check and
 // ParseBenchFlags over the shared flag parser (tools/flags.h).
 //
@@ -81,7 +81,7 @@ inline bool FullScale() {
 }
 
 /// Default synthetic |V| for benches; the paper default is 250K — we scale
-/// down so the whole harness finishes in minutes (DESIGN.md §4).
+/// down so the whole harness finishes in minutes (README, "Design notes").
 inline std::size_t DefaultVertices() {
   return EnvSize("TOPL_BENCH_V", FullScale() ? 250000 : 10000);
 }

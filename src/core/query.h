@@ -53,8 +53,8 @@ struct QueryOptions {
   bool use_support_pruning = true;  // Lemmas 2 / 6
   bool use_score_pruning = true;    // Lemmas 4 / 7 + heap early termination
   /// Within support pruning, also apply the strengthened center-trussness
-  /// bound (DESIGN.md §3). Off = the paper's max-ball-support rule only;
-  /// the ablation benchmark compares the two.
+  /// bound (README, "Design notes"). Off = the paper's max-ball-support rule
+  /// only; the ablation benchmark compares the two.
   bool use_center_truss_bound = true;
 };
 
@@ -73,6 +73,9 @@ struct QueryStats {
   std::uint64_t pruned_termination = 0;  // candidates skipped by early stop
 
   std::uint64_t candidates_refined = 0;   // extractions attempted
+  /// Refined candidates whose center the extractor's prechecks (center
+  /// degree, ego-network peel) rejected before building a ball.
+  std::uint64_t precheck_rejected = 0;
   std::uint64_t communities_found = 0;    // non-empty seed communities
   /// Score-only influence propagations run (PropagationEngine::ComputeScores
   /// calls): exactly one per distinct seed set in a sequential query, so
@@ -110,6 +113,7 @@ struct QueryStats {
     pruned_score += other.pruned_score;
     pruned_termination += other.pruned_termination;
     candidates_refined += other.candidates_refined;
+    precheck_rejected += other.precheck_rejected;
     communities_found += other.communities_found;
     propagations += other.propagations;
     triangles_inspected += other.triangles_inspected;
@@ -127,6 +131,7 @@ struct QueryStats {
            " pruned_score=" + std::to_string(pruned_score) +
            " pruned_termination=" + std::to_string(pruned_termination) +
            " refined=" + std::to_string(candidates_refined) +
+           " precheck_rejected=" + std::to_string(precheck_rejected) +
            " found=" + std::to_string(communities_found) +
            " propagations=" + std::to_string(propagations) +
            " triangles=" + std::to_string(triangles_inspected) +

@@ -18,27 +18,95 @@ namespace {
 // naive incremental deletion would be slower than the reference path.
 constexpr std::size_t kBulkRecomputeDivisor = 4;
 
-// Center-degree precheck: an edge (center, u) of a k-truss closes ≥ k−2
-// triangles, each through another neighbour of the center, so a community
-// needs ≥ k−1 keyword-carrying neighbours of the center (one for k = 2).
-// Most candidates fail this, and failing it costs no ball. Only kIncremental
-// runs it; the reference path keeps the full pipeline so brute force checks
-// the shortcut.
-template <typename Keep>
-bool CenterDegreeAdmits(const Graph& g, VertexId center, std::uint32_t k,
-                        Keep keep) {
-  const std::uint32_t needed = std::max<std::uint32_t>(k, 2) - 1;
-  std::uint32_t eligible = 0;
-  for (const Graph::Arc& arc : g.Neighbors(center)) {
-    if (keep(arc.to) && ++eligible >= needed) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 SeedCommunityExtractor::SeedCommunityExtractor(const Graph& g)
     : graph_(&g), hop_(g) {}
+
+// Both prechecks read only the center's ego network: F, the neighbours of
+// the center that `keep` admits. Every edge (center, u) of a k-truss closes
+// ≥ k−2 triangles (center, u, w) inside the community, and each such w is
+// itself a member neighbour of the center. So the center's member
+// neighbours S ⊆ F give every u ∈ S at least k−2 partners w ∈ S adjacent to
+// u, and a community needs |S| ≥ k−1 (one for k = 2).
+//  1. Center degree: reject when |F| < k−1. Most candidates fail here, at
+//     the cost of one pass over the center's arcs.
+//  2. Ego-network peel: drop every u ∈ F with fewer than k−2 partners left
+//     in F, until none is dropped. The survivors are the largest subset of F
+//     with the property above, so they contain S; reject when fewer than k−1
+//     survive. Partners come from merging each sorted adjacency list with
+//     the sorted F. Nothing depends on r, so the test is exact at every
+//     r ≥ 1 (README, "Design notes").
+template <typename Keep>
+bool SeedCommunityExtractor::EgoNetworkAdmits(VertexId center, std::uint32_t k,
+                                              Keep keep) {
+  const std::uint32_t needed = std::max<std::uint32_t>(k, 2) - 1;
+  ego_.clear();
+  for (const Graph::Arc& arc : graph_->Neighbors(center)) {
+    if (keep(arc.to)) ego_.push_back(arc.to);
+  }
+  if (ego_.size() < needed) return false;
+  const std::uint32_t partners_needed = needed - 1;
+  if (partners_needed == 0) return true;
+
+  // Partner pairs (i, j), i < j: ego_[j] ∈ N(ego_[i]). Adjacency is
+  // symmetric, so each list is merged only against the members after it.
+  // The list side advances by binary search, so a hub neighbour costs
+  // O(|F| log deg) rather than its whole degree.
+  const auto before = [](const Graph::Arc& arc, VertexId v) { return arc.to < v; };
+  const auto d = static_cast<std::uint32_t>(ego_.size());
+  ego_partners_.assign(d, 0);
+  ego_pairs_.clear();
+  for (std::uint32_t i = 0; i + 1 < d; ++i) {
+    const std::span<const Graph::Arc> arcs = graph_->Neighbors(ego_[i]);
+    auto a = arcs.begin();
+    std::uint32_t j = i + 1;
+    while (a != arcs.end() && j < d) {
+      if (a->to < ego_[j]) {
+        a = std::lower_bound(a, arcs.end(), ego_[j], before);
+      } else if (a->to > ego_[j]) {
+        ++j;
+      } else {
+        ego_pairs_.emplace_back(i, j);
+        ++ego_partners_[i];
+        ++ego_partners_[j];
+        ++a;
+        ++j;
+      }
+    }
+  }
+
+  // Partner lists as a CSR: ego_offsets_[i] starts as the end of i's range
+  // and is decremented into its start while the pairs are placed.
+  ego_offsets_.resize(d + 1);
+  std::size_t end = 0;
+  for (std::uint32_t i = 0; i < d; ++i) ego_offsets_[i] = end += ego_partners_[i];
+  ego_offsets_[d] = end;
+  ego_adjacent_.resize(end);
+  for (const auto& [i, j] : ego_pairs_) {
+    ego_adjacent_[--ego_offsets_[i]] = j;
+    ego_adjacent_[--ego_offsets_[j]] = i;
+  }
+
+  // Peel. A member is dropped exactly when its partner count falls below
+  // partners_needed, so the count doubles as the dropped flag.
+  bfs_queue_.clear();
+  for (std::uint32_t i = 0; i < d; ++i) {
+    if (ego_partners_[i] < partners_needed) bfs_queue_.push_back(i);
+  }
+  std::uint32_t alive = d;
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    if (--alive < needed) return false;
+    const std::uint32_t i = bfs_queue_[head];
+    for (std::size_t p = ego_offsets_[i]; p < ego_offsets_[i + 1]; ++p) {
+      std::uint32_t& partners = ego_partners_[ego_adjacent_[p]];
+      if (partners >= partners_needed && --partners < partners_needed) {
+        bfs_queue_.push_back(ego_adjacent_[p]);
+      }
+    }
+  }
+  return true;
+}
 
 bool SeedCommunityExtractor::CollectOutOfRadius(const LocalGraph& ball,
                                                 std::uint32_t radius) {
@@ -89,6 +157,7 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   last_subgraph_edges_ = 0;
   last_triangles_inspected_ = 0;
   last_support_recomputes_avoided_ = 0;
+  last_precheck_rejected_ = false;
 
   if (mode == Mode::kReference) match = nullptr;
   TOPL_DCHECK(match == nullptr || !query.keywords.empty(),
@@ -96,12 +165,13 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   const bool filtered = !query.keywords.empty();  // as in HopExtractor
   if (mode == Mode::kIncremental &&
       !(match != nullptr
-            ? CenterDegreeAdmits(*graph_, center, query.k,
-                                 [&](VertexId v) { return match->Contains(v); })
-            : CenterDegreeAdmits(*graph_, center, query.k, [&](VertexId v) {
+            ? EgoNetworkAdmits(center, query.k,
+                               [&](VertexId v) { return match->Contains(v); })
+            : EgoNetworkAdmits(center, query.k, [&](VertexId v) {
                 return !filtered ||
                        HopExtractor::HasAnyKeyword(*graph_, v, query.keywords);
               }))) {
+    last_precheck_rejected_ = true;
     return false;
   }
   // Step 1: keyword-filtered r-hop BFS. Vertices beyond r hops in the

@@ -2,6 +2,7 @@
 #define TOPL_CORE_SEED_COMMUNITY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -40,7 +41,7 @@ struct SeedCommunity {
 /// where step 3 kills violating vertices and loops back to 2 until nothing
 /// changes. Deleting a violator is safe because it violates Definition 2 in
 /// every subgraph of the current candidate, so the fixpoint is exactly the
-/// maximal community (DESIGN.md §3).
+/// maximal community (README, "Design notes").
 ///
 /// The default (kIncremental) execution runs on the triangle substrate
 /// (truss/local_truss.h): edge supports are computed once by oriented
@@ -74,10 +75,15 @@ class SeedCommunityExtractor {
   }
 
   /// Extract with an explicit pipeline choice (benchmarks, equivalence
-  /// sweeps, and brute force, which runs kReference). kIncremental rejects
-  /// a center with fewer than k−1 keyword-carrying neighbours before
-  /// building its ball (no k-truss edge can pass through it); kReference
-  /// always runs the full pipeline.
+  /// sweeps, and brute force, which runs kReference). kIncremental runs two
+  /// exact prechecks on the center's keyword-carrying neighbours F before
+  /// building its ball, and rejects the center when either fails:
+  ///  1. center degree: |F| ≥ k−1;
+  ///  2. ego-network peel: after repeatedly dropping every u ∈ F with fewer
+  ///     than k−2 neighbours left in F, at least k−1 members survive.
+  /// Neither ever rejects a center that has a community (README, "Design
+  /// notes"). kReference always runs the full pipeline, so brute force
+  /// checks both.
   ///
   /// `match`, if given, must be filled from query.keywords (non-empty).
   /// kIncremental then tests keywords in the precheck and the ball's BFS by
@@ -107,6 +113,10 @@ class SeedCommunityExtractor {
     return last_triangles_inspected_;
   }
 
+  /// True when the last Extract call rejected its center in one of the
+  /// kIncremental prechecks, before building a ball.
+  bool last_precheck_rejected() const { return last_precheck_rejected_; }
+
   /// Fixpoint rounds of the last Extract call whose bulk kills were absorbed
   /// by incremental support decrements — each one a full from-scratch
   /// ComputeLocalEdgeSupports pass the reference path would have run.
@@ -122,6 +132,12 @@ class SeedCommunityExtractor {
   /// doomed edges leave `support_` (incremental decrements vs recompute).
   bool CollectOutOfRadius(const LocalGraph& ball, std::uint32_t radius);
 
+  /// The kIncremental prechecks (center degree, then the ego-network peel)
+  /// over the center's neighbours that `keep` admits. False rejects the
+  /// center. O(Σ_{u∈F} deg u); allocates nothing after warm-up.
+  template <typename Keep>
+  bool EgoNetworkAdmits(VertexId center, std::uint32_t k, Keep keep);
+
   const Graph* graph_;
   HopExtractor hop_;
   LocalGraph lg_;
@@ -133,6 +149,14 @@ class SeedCommunityExtractor {
   std::vector<std::uint32_t> local_dist_;
   std::vector<std::uint32_t> bfs_queue_;
   std::vector<std::uint32_t> doomed_;
+  // Ego-network peel scratch: F, partner counts, partner pairs and their
+  // CSR (the peel queue reuses bfs_queue_).
+  std::vector<VertexId> ego_;
+  std::vector<std::uint32_t> ego_partners_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ego_pairs_;
+  std::vector<std::size_t> ego_offsets_;
+  std::vector<std::uint32_t> ego_adjacent_;
+  bool last_precheck_rejected_ = false;
   std::size_t last_subgraph_edges_ = 0;
   std::uint64_t last_triangles_inspected_ = 0;
   std::uint64_t last_support_recomputes_avoided_ = 0;

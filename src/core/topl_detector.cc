@@ -159,15 +159,17 @@ class PlanCursor {
         }
         for (VertexId v : tree_->LeafVertices(node)) {
           // Candidate-level pruning (Lemmas 1, 2, 4) on hop(v, r).
-          if (options_->use_keyword_pruning &&
-              (!match_->Contains(v) ||
-               !pre_->SignatureIntersects(v, r, *query_bv_))) {
-            // Either the center holds no query keyword (and the center is in
-            // every g), or no vertex of hop(v, r) can. The one-bit center
-            // test goes first; both land in the same counter.
+          if (options_->use_keyword_pruning && !match_->Contains(v)) {
+            // The center holds no query keyword, and the center is in every
+            // g (Lemma 1). BV_r(v) folds in v's own keywords, so a center
+            // that passes this test always passes the ball signature test:
+            // that probe would never prune here (README, "Design notes").
             ++stats->pruned_keyword;
             continue;
           }
+          TOPL_DCHECK(!match_->Contains(v) ||
+                          pre_->SignatureIntersects(v, r, *query_bv_),
+                      "a keyword-carrying center's ball signature misses Q");
           if (options_->use_support_pruning &&
               (pre_->SupportBound(v, r) < required_support_ ||
                (options_->use_center_truss_bound &&
@@ -229,9 +231,11 @@ class PlanCursor {
   const std::uint32_t required_support_;
   const BitVector* query_bv_;
   // The query's keyword bitmap, which every later keyword test of the query
-  // reads (leaf filter, precheck, ball BFS). Filled lazily at the first leaf,
-  // so queries pruned above the leaves never pay the O(n) fill. Every refined
-  // candidate comes from a leaf, so extraction always sees it filled.
+  // reads (leaf filter, prechecks, ball BFS). It is filled from the query
+  // keywords' posting lists, so no query pays an O(n) keyword scan. The fill
+  // waits for the first leaf, so a query pruned above the leaves skips it;
+  // every refined candidate comes from a leaf, so extraction always sees it
+  // filled.
   KeywordMatch* match_;
   bool match_filled_ = false;
 
@@ -275,6 +279,7 @@ class ScoreMemo {
 struct ChunkOutput {
   std::vector<CommunityResult> found;  // σ only; gInf is built at output
   std::uint64_t refined = 0;
+  std::uint64_t precheck_rejected = 0;
   std::uint64_t propagations = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
   std::uint64_t triangles_inspected = 0;
@@ -287,8 +292,8 @@ struct ChunkOutput {
 // here (workers share it); `worker_memo` is the calling worker's own record of
 // the seed sets it scored in this wave (the inline path passes the query memo
 // as both). The chunk accumulates in a local and writes its slot once:
-// neighbouring slots share cache lines, and a candidate the center-degree
-// precheck rejects costs less than a line bouncing between cores.
+// neighbouring slots share cache lines, and a candidate the extractor's
+// prechecks reject costs less than a line bouncing between cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
                  const KeywordMatch& match, RefineScratch& scratch,
                  const ScoreMemo& query_memo, ScoreMemo* worker_memo,
@@ -305,6 +310,7 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
     const bool found = scratch.extractor.Extract(
         v, query, SeedCommunityExtractor::Mode::kIncremental,
         &candidate.community, &match);
+    out.precheck_rejected += scratch.extractor.last_precheck_rejected();
     out.triangles_inspected += scratch.extractor.last_triangles_inspected();
     out.support_recomputes_avoided +=
         scratch.extractor.last_support_recomputes_avoided();
@@ -440,6 +446,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     // later waves, and offer its communities (σ only) to the collector.
     auto merge = [&](ChunkOutput& out) {
       stats.candidates_refined += out.refined;
+      stats.precheck_rejected += out.precheck_rejected;
       stats.communities_found += out.found.size();
       stats.propagations += out.propagations;
       stats.triangles_inspected += out.triangles_inspected;

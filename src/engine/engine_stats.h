@@ -211,6 +211,7 @@ class EngineStatsShard {
     pruned_score_.fetch_add(qs.pruned_score, relaxed);
     pruned_termination_.fetch_add(qs.pruned_termination, relaxed);
     candidates_refined_.fetch_add(qs.candidates_refined, relaxed);
+    precheck_rejected_.fetch_add(qs.precheck_rejected, relaxed);
     communities_found_.fetch_add(qs.communities_found, relaxed);
     propagations_.fetch_add(qs.propagations, relaxed);
     triangles_inspected_.fetch_add(qs.triangles_inspected, relaxed);
@@ -244,6 +245,7 @@ class EngineStatsShard {
     shard.pruned_score = pruned_score_.load(relaxed);
     shard.pruned_termination = pruned_termination_.load(relaxed);
     shard.candidates_refined = candidates_refined_.load(relaxed);
+    shard.precheck_rejected = precheck_rejected_.load(relaxed);
     shard.communities_found = communities_found_.load(relaxed);
     shard.propagations = propagations_.load(relaxed);
     shard.triangles_inspected = triangles_inspected_.load(relaxed);
@@ -287,6 +289,7 @@ class EngineStatsShard {
   std::atomic<std::uint64_t> pruned_score_{0};
   std::atomic<std::uint64_t> pruned_termination_{0};
   std::atomic<std::uint64_t> candidates_refined_{0};
+  std::atomic<std::uint64_t> precheck_rejected_{0};
   std::atomic<std::uint64_t> communities_found_{0};
   std::atomic<std::uint64_t> propagations_{0};
   std::atomic<std::uint64_t> triangles_inspected_{0};

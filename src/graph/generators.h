@@ -49,8 +49,8 @@ struct SmallWorldOptions {
 
 /// Holme–Kim powerlaw-cluster graph: Barabási–Albert preferential attachment
 /// where each attachment is followed, with probability `triangle_prob`, by a
-/// triad-closure step. Used as the stand-in for the SNAP datasets (DESIGN.md
-/// §4): power-law degrees plus tunable clustering.
+/// triad-closure step. Used as the stand-in for the SNAP datasets (README,
+/// "Design notes"): power-law degrees plus tunable clustering.
 struct PowerlawClusterOptions {
   std::size_t num_vertices = 10000;
   std::uint32_t edges_per_vertex = 3;  // attachments per arriving vertex
@@ -86,7 +86,7 @@ Result<Graph> MakePowerlawCluster(const PowerlawClusterOptions& options);
 Result<Graph> MakeErdosRenyi(const ErdosRenyiOptions& options);
 
 /// DBLP-like stand-in: powerlaw-cluster with the co-authorship network's
-/// average degree (~6.6) and high triad closure (DESIGN.md §4).
+/// average degree (~6.6) and high triad closure (README, "Design notes").
 Result<Graph> MakeDblpLike(std::size_t num_vertices, std::uint64_t seed);
 
 /// Amazon-like stand-in: powerlaw-cluster with the co-purchase network's

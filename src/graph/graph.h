@@ -25,7 +25,9 @@ class MappedFile;
 /// use to address per-edge state (support, trussness).
 ///
 /// Per-vertex keyword sets (v.W in the paper) are stored as a CSR of sorted
-/// KeywordIds.
+/// KeywordIds. The inverse, one ascending posting list of vertices per
+/// distinct keyword, is derived from that CSR whenever the keyword arrays
+/// are bound, and always lives on the heap.
 ///
 /// All flat arrays are accessed through std::span views. The backing is
 /// either owned heap memory (instances assembled by GraphBuilder, the I/O
@@ -98,8 +100,13 @@ class Graph {
   /// True iff keyword w ∈ v.W (binary search).
   bool HasKeyword(VertexId v, KeywordId w) const;
 
-  /// Number of distinct keyword ids referenced by any vertex; equivalently an
-  /// exclusive upper bound on stored KeywordIds. 0 for keyword-less graphs.
+  /// The vertices whose keyword set holds w, ascending; empty when no vertex
+  /// does. O(log D) for D distinct keywords: the lists are keyed by a sorted
+  /// array of the keyword ids in use, never indexed by the raw id.
+  std::span<const VertexId> Postings(KeywordId w) const;
+
+  /// One past the largest stored KeywordId: an exclusive upper bound on the
+  /// keyword ids of every vertex. 0 for keyword-less graphs.
   KeywordId KeywordDomainBound() const { return keyword_domain_bound_; }
 
   /// Sum of |v.W| over all vertices.
@@ -122,6 +129,10 @@ class Graph {
     keywords_ = owned_keywords_;
   }
 
+  /// Derives the posting lists from the bound keyword arrays. Both paths
+  /// that bind them (GraphBuilder::Build, ArtifactReader::Open) call it.
+  void BuildPostings();
+
   // Views over the active backing. Always valid; never dangling because the
   // owned vectors move with the object and a mapped backing is refcounted.
   std::span<const std::uint64_t> offsets_;           // size n+1
@@ -137,6 +148,13 @@ class Graph {
   std::vector<EdgeEndpoints> owned_edge_endpoints_;
   std::vector<std::uint64_t> owned_keyword_offsets_;
   std::vector<KeywordId> owned_keywords_;
+
+  // Posting lists: the vertices of posting_keywords_[i] are
+  // posting_vertices_[posting_offsets_[i] .. posting_offsets_[i + 1]).
+  // Owned in both backings, so a moved Graph keeps them valid.
+  std::vector<KeywordId> posting_keywords_;       // distinct ids, ascending
+  std::vector<std::uint64_t> posting_offsets_;    // size D+1
+  std::vector<VertexId> posting_vertices_;        // size Σ|v.W|
 
   // Keeps the mmap alive for artifact-backed instances.
   std::shared_ptr<const MappedFile> backing_;

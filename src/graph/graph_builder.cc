@@ -124,6 +124,7 @@ Result<Graph> GraphBuilder::Build() && {
   for (const auto& [v, w] : keyword_pairs_) g.owned_keywords_.push_back(w);
 
   g.BindOwned();
+  g.BuildPostings();
   return g;
 }
 

@@ -43,41 +43,11 @@ bool HopExtractor::HasAnyKeyword(const Graph& g, VertexId v,
 }
 
 void KeywordMatch::Fill(const Graph& g, std::span<const KeywordId> query) {
-  // query_mask_ holds the query keywords below its size; the rest, if any,
-  // are the sorted tail `beyond`. The size follows the query, never the
-  // graph's keyword ids, so a stored id of any value is safe to test.
-  const std::uint64_t mask_bits =
-      query.empty() ? 0
-                    : std::min<std::uint64_t>(kMaxMaskBits,
-                                              std::uint64_t{query.back()} + 1);
-  query_mask_.assign((mask_bits + 63) / 64, 0);
-  const std::size_t mask_words = query_mask_.size();
-  std::size_t in_mask = 0;
-  for (; in_mask < query.size() && (query[in_mask] >> 6) < mask_words; ++in_mask) {
-    query_mask_[query[in_mask] >> 6] |= std::uint64_t{1} << (query[in_mask] & 63);
-  }
-  const std::span<const KeywordId> beyond = query.subspan(in_mask);
-
-  // One sequential pass over the keyword CSR, one output word at a time.
-  // |v.W| is small, so OR-ing every keyword's bit beats an early exit.
-  const std::size_t n = g.NumVertices();
-  words_.resize((n + 63) / 64);
-  for (std::size_t word = 0; word < words_.size(); ++word) {
-    const std::size_t first = word * 64;
-    const std::size_t last = std::min(n, first + 64);
-    std::uint64_t bits = 0;
-    for (std::size_t v = first; v < last; ++v) {
-      std::uint64_t hit = 0;
-      for (const KeywordId w : g.Keywords(static_cast<VertexId>(v))) {
-        if ((w >> 6) < mask_words) {
-          hit |= query_mask_[w >> 6] >> (w & 63);
-        } else {
-          hit |= std::binary_search(beyond.begin(), beyond.end(), w) ? 1u : 0u;
-        }
-      }
-      bits |= (hit & 1) << (v - first);
+  words_.assign((g.NumVertices() + 63) / 64, 0);
+  for (const KeywordId w : query) {
+    for (const VertexId v : g.Postings(w)) {
+      words_[v >> 6] |= std::uint64_t{1} << (v & 63);
     }
-    words_[word] = bits;
   }
 }
 

@@ -53,18 +53,19 @@ struct LocalGraph {
 ///
 /// The detector's hot path asks this question for the same vertices many
 /// times per query: once per leaf vertex (Lemma 1's center test), once per
-/// neighbour in the center-degree precheck, and once per arc of every
-/// keyword-filtered ball. Filling the bitmap costs one sequential pass over
-/// the graph's keyword CSR, O(n + Σ|v.W|); every test after that is one bit.
+/// neighbour in the center prechecks, and once per arc of every
+/// keyword-filtered ball. Filling the bitmap zeroes n/64 words and sets the
+/// bits of the query keywords' posting lists (Graph::Postings), so it costs
+/// O(n/64 + Σ_{w∈Q} |postings(w)|) and never scans the vertices' keyword
+/// lists; every test after that is one bit.
 ///
 /// Holds reusable storage; refill it for each query. Readers may share a
 /// filled instance across threads.
 class KeywordMatch {
  public:
   /// Sets bit v iff HopExtractor::HasAnyKeyword(g, v, query), for every vertex
-  /// of g. `query` is a sorted KeywordId list. Beside the n-bit bitmap, the
-  /// fill's scratch is at most kMaxMaskBits bits, whatever the keyword ids of
-  /// the graph or the query.
+  /// of g. `query` is a sorted KeywordId list; a keyword no vertex holds sets
+  /// nothing.
   void Fill(const Graph& g, std::span<const KeywordId> query);
 
   /// True iff v.W intersects the query the bitmap was last filled for.
@@ -74,12 +75,7 @@ class KeywordMatch {
   }
 
  private:
-  /// Query keywords below this many bits are tested through query_mask_;
-  /// larger ones by binary search. 2^16 bits is 8 KB.
-  static constexpr std::uint64_t kMaxMaskBits = std::uint64_t{1} << 16;
-
-  std::vector<std::uint64_t> words_;       // bit v: v holds a query keyword
-  std::vector<std::uint64_t> query_mask_;  // bit w: w ∈ Q, for small w
+  std::vector<std::uint64_t> words_;  // bit v: v holds a query keyword
 };
 
 /// \brief Extracts hop(center, r) subgraphs, reusing scratch buffers across

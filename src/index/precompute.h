@@ -46,8 +46,9 @@ struct PrecomputeOptions {
 ///  - center_truss: the trussness of v within hop(v, r_max) — the largest k
 ///    for which *any* k-truss containing v exists inside the ball. Any seed
 ///    community centered at v is such a truss, so `center_truss < k` prunes
-///    v exactly like Lemma 2 but far more sharply (DESIGN.md §3 documents
-///    this strengthening; the paper's max-support form is kept alongside).
+///    v exactly like Lemma 2 but far more sharply (README, "Design notes",
+///    documents this strengthening; the paper's max-support form is kept
+///    alongside).
 ///
 /// Layout is flat (vertex-major) for cache-friendly index construction and
 /// trivial serialization. Like Graph, every flat array is accessed through a

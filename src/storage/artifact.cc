@@ -956,6 +956,7 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   }
   g.keyword_domain_bound_ = meta.keyword_domain_bound;
   g.backing_ = mapped;
+  g.BuildPostings();
 
   out.pre = std::unique_ptr<PrecomputedData>(new PrecomputedData());
   PrecomputedData& pre = *out.pre;

@@ -38,7 +38,7 @@ std::vector<std::uint32_t> VertexTrussness(
 /// The offline phase (Algorithm 2) runs this per r_max-ball: the initial
 /// supports are the paper's ub_sup(e) "w.r.t. hop(v_i, r_max)" (§V-A), and
 /// the trussness of the ball's center bounds the largest k any seed
-/// community centered there can reach (DESIGN.md §3).
+/// community centered there can reach (README, "Design notes").
 ///
 /// If `initial_supports` is non-null it receives sup(e) within the ball
 /// before peeling.

@@ -2,15 +2,24 @@
 // it stands in for on the detector's hot path:
 //  - bit v equals HopExtractor::HasAnyKeyword(g, v, Q) for every vertex,
 //    across word boundaries, keyword-less vertices, query keywords beyond
-//    the graph's keyword domain, and keyword ids up to kMaxKeywordId;
+//    the graph's keyword domain or held by no vertex, and keyword ids up to
+//    kMaxKeywordId;
+//  - the posting lists the bitmap is filled from hold exactly the vertices
+//    of each keyword, ascending, wherever the Graph comes from: GraphBuilder,
+//    a mapped artifact (raw and compressed), an ApplyDelta stream that adds
+//    and removes keywords and deletes edges, and a moved Graph;
 //  - the bitmap-filtered ball BFS builds the same LocalGraph as the
 //    keyword-list-filtered one, for every center and radius;
 //  - a detector reused across queries with disjoint keywords answers like a
 //    fresh detector and like brute force, sequentially and in parallel, so no
 //    bit of an earlier query leaks into a later one.
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -20,8 +29,10 @@
 #include "core/topl_detector.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_delta.h"
 #include "graph/local_subgraph.h"
 #include "gtest/gtest.h"
+#include "storage/artifact.h"
 #include "tests/test_util.h"
 
 namespace topl {
@@ -125,9 +136,9 @@ TEST(KeywordMatchTest, MembershipEqualsHasAnyKeywordForEveryVertex) {
 }
 
 TEST(KeywordMatchTest, MembershipWithKeywordIdsUpToTheLargest) {
-  // Ids on both sides of a mask word boundary, of the 2^16-bit mask limit,
-  // and at the top of the id range. Scratch memory follows the query, not
-  // these ids, and ids past the mask are found by search.
+  // Ids on both sides of a bitmap word boundary, of 2^16, and at the top of
+  // the id range. The posting lists are keyed by the ids in use, so memory
+  // follows the number of distinct ids, not their values.
   const std::vector<KeywordId> ids = {
       0, 63, 64, 65535, 65536, 65537, KeywordId{1} << 31, kMaxKeywordId};
   GraphBuilder b(70);
@@ -163,6 +174,120 @@ TEST(KeywordMatchTest, MembershipWithKeywordIdsUpToTheLargest) {
     }
   }
   EXPECT_GT(matched, 0u);
+}
+
+// Vertices carry even keyword ids below 40 only (every sixth carries none),
+// so each odd id below 40 is a query keyword that no vertex holds.
+Graph MakeEvenKeywordGraph() {
+  constexpr std::size_t kN = 300;
+  GraphBuilder b(kN);
+  for (VertexId v = 0; v < kN; ++v) {
+    b.AddEdge(v, static_cast<VertexId>((v + 1) % kN), 0.5);
+    b.AddEdge(v, static_cast<VertexId>((v + 7) % kN), 0.4);
+  }
+  for (VertexId v = 0; v < kN; ++v) {
+    if (v % 6 == 0) continue;
+    for (std::uint32_t i = 0; i <= v % 3; ++i) {
+      b.AddKeyword(v, static_cast<KeywordId>(2 * ((v * 5 + i * 3) % 20)));
+    }
+  }
+  Result<Graph> g = std::move(b).Build();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+// Every posting list of g equals the vertices holding its keyword, and a
+// KeywordMatch filled from them agrees with HasAnyKeyword on every vertex.
+// Returns the number of (query, vertex) matches.
+std::uint64_t ExpectPostingsAndMatchAgree(const Graph& g,
+                                          const std::string& label) {
+  std::vector<std::vector<KeywordId>> queries = {
+      {0}, {1}, {2, 3}, {1, 3, 5, 39}, {38, 40}, {41}, {kMaxKeywordId},
+      {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38}};
+  for (KeywordId w = 0; w < 42; ++w) queries.push_back({w});
+  KeywordMatch match;
+  std::uint64_t matched = 0;
+  for (const std::vector<KeywordId>& q : queries) {
+    for (const KeywordId w : q) {
+      std::vector<VertexId> holders;
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        if (g.HasKeyword(v, w)) holders.push_back(v);
+      }
+      const std::span<const VertexId> postings = g.Postings(w);
+      EXPECT_EQ(std::vector<VertexId>(postings.begin(), postings.end()), holders)
+          << label << " keyword " << w;
+    }
+    match.Fill(g, q);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      const bool want = HopExtractor::HasAnyKeyword(g, v, q);
+      EXPECT_EQ(match.Contains(v), want)
+          << label << " Q[0]=" << q[0] << " |Q|=" << q.size() << " vertex " << v;
+      matched += want;
+    }
+  }
+  return matched;
+}
+
+TEST(KeywordMatchTest, PostingsAgreeWhereverTheGraphComesFrom) {
+  const Graph built = MakeEvenKeywordGraph();
+  ASSERT_TRUE(built.Postings(1).empty());  // held by no vertex
+  EXPECT_GT(ExpectPostingsAndMatchAgree(built, "builder"), 0u);
+
+  // Mapped artifacts, raw and compressed: the postings are derived at open.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("topl_keyword_match_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  {
+    const BuiltIndex index = BuildIndexFor(built);
+    for (const bool compress : {false, true}) {
+      const std::string path =
+          (dir / (compress ? "compressed.idx" : "raw.idx")).string();
+      ArtifactWriteOptions options;
+      options.compress = compress;
+      ASSERT_TRUE(
+          ArtifactWriter::Write(built, index.pre(), index.tree, path, options).ok());
+      Result<MappedIndex> mapped = ArtifactReader::Open(path);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      ASSERT_EQ(mapped->compressed, compress);
+      EXPECT_GT(ExpectPostingsAndMatchAgree(
+                    mapped->graph, compress ? "compressed artifact" : "raw artifact"),
+                0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
+
+  // An update stream: each delta adds keywords (among them ids no vertex
+  // held, one past the old domain bound), removes keywords, and deletes
+  // edges. Every snapshot builds a fresh Graph, so each one is checked.
+  Graph current = MakeEvenKeywordGraph();
+  for (VertexId round = 0; round < 3; ++round) {
+    GraphDelta delta;
+    const VertexId base = 10 + 40 * round;
+    delta.AddKeyword(base, 1);       // odd: newly held
+    delta.AddKeyword(base + 1, 41);  // past the old bound
+    delta.AddKeyword(30 + 42 * round, 2 * round + 3);  // a keyword-less vertex
+    for (VertexId v = base + 2; v < base + 5; ++v) {
+      for (const KeywordId w : current.Keywords(v)) delta.RemoveKeyword(v, w);
+    }
+    delta.DeleteEdge(base + 7, base + 8);
+    delta.DeleteEdge(base + 9, base + 16);
+    Result<Graph> next = ApplyDelta(current, delta);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    current = std::move(next).value();
+    ASSERT_FALSE(current.Postings(1).empty());
+    EXPECT_GT(ExpectPostingsAndMatchAgree(
+                  current, "delta round " + std::to_string(round)),
+              0u);
+  }
+
+  // Moving a Graph keeps its postings valid, by construction and by
+  // assignment over a graph that had its own.
+  Graph moved(std::move(current));
+  EXPECT_GT(ExpectPostingsAndMatchAgree(moved, "move-constructed"), 0u);
+  Graph assigned = MakeRing(64);
+  assigned = std::move(moved);
+  EXPECT_GT(ExpectPostingsAndMatchAgree(assigned, "move-assigned"), 0u);
 }
 
 TEST(KeywordMatchTest, MatchingExtractionEqualsKeywordListExtraction) {

@@ -4,11 +4,15 @@
 //  - the per-query influence memo, which propagates each distinct seed set
 //    once and re-propagates a repeat only when its known σ enters the top-L;
 //  - the center-degree precheck, which rejects a center with fewer than k−1
-//    keyword-carrying neighbours before extracting its ball.
+//    keyword-carrying neighbours before extracting its ball;
+//  - the ego-network peel, which drops keyword-carrying neighbours with
+//    fewer than k−2 partners among the others until none is dropped, and
+//    rejects the center when fewer than k−1 survive.
 // Planted-clique graphs make every center of a clique yield the same
-// community (memo hits); keyword-sparse graphs make most centers fail the
-// precheck. Answers must be byte-identical to the oracle, sequentially, in
-// parallel, for DTopL, and for a detector reused across queries.
+// community (memo hits); keyword-sparse graphs make most centers fail a
+// precheck; hand-built ego networks pin the peel's edge cases. Answers must
+// be byte-identical to the oracle, sequentially, in parallel, for DTopL, and
+// for a detector reused across queries.
 
 #include <cstdint>
 #include <string>
@@ -17,8 +21,10 @@
 #include "common/thread_pool.h"
 #include "core/brute_force.h"
 #include "core/dtopl_detector.h"
+#include "core/seed_community.h"
 #include "core/topl_detector.h"
 #include "graph/generators.h"
+#include "graph/local_subgraph.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -201,16 +207,230 @@ TEST(RefineShortcutTest, PrecheckAgreesWithReferenceExtractionOnEveryCenter) {
         ASSERT_EQ(got_ok, want_ok) << "k=" << k << " center " << v;
         EXPECT_EQ(got.vertices, want.vertices) << "k=" << k << " center " << v;
         EXPECT_EQ(got.edges, want.edges) << "k=" << k << " center " << v;
-        // The precheck returns before any ball is built; the reference path
+        // A precheck returns before any ball is built; the reference path
         // always builds one for a keyword-carrying center.
-        if (!got_ok && incremental.last_subgraph_edges() == 0 &&
-            reference.last_subgraph_edges() > 0) {
-          ++rejected_by_precheck;
+        if (incremental.last_precheck_rejected()) {
+          EXPECT_FALSE(got_ok);
+          EXPECT_EQ(incremental.last_subgraph_edges(), 0u);
+          rejected_by_precheck += reference.last_subgraph_edges() > 0;
         }
       }
     }
   }
   EXPECT_GT(rejected_by_precheck, 0u);
+}
+
+// A center (vertex 0) joined to every vertex of its ego network F = {1, ...,
+// size}, plus the given edges inside F. Every vertex carries keyword 0.
+Graph MakeEgoNetwork(std::size_t size,
+                     const std::vector<std::pair<VertexId, VertexId>>& inside) {
+  std::vector<std::pair<VertexId, VertexId>> edges = inside;
+  for (VertexId u = 1; u <= size; ++u) edges.emplace_back(0, u);
+  return testing::MakeKeywordGraph(
+      size + 1, edges, std::vector<std::vector<KeywordId>>(size + 1, {0}));
+}
+
+// Extracts vertex 0's community both ways and checks that they agree.
+// Returns whether the incremental path rejected the center in a precheck.
+bool PrecheckRejectsCenter(const Graph& g, std::uint32_t k,
+                           const std::string& label) {
+  SeedCommunityExtractor incremental(g);
+  SeedCommunityExtractor reference(g);
+  KeywordMatch match;
+  bool rejected = false;
+  for (std::uint32_t r = 1; r <= 2; ++r) {
+    const Query q = MakeQuery({0}, k, r, 0.1, 1);
+    match.Fill(g, q.keywords);
+    SeedCommunity got;
+    SeedCommunity want;
+    const bool got_ok = incremental.Extract(
+        0, q, SeedCommunityExtractor::Mode::kIncremental, &got, &match);
+    const bool want_ok =
+        reference.Extract(0, q, SeedCommunityExtractor::Mode::kReference, &want);
+    EXPECT_EQ(got_ok, want_ok) << label << " r=" << r;
+    EXPECT_EQ(got.vertices, want.vertices) << label << " r=" << r;
+    EXPECT_EQ(got.edges, want.edges) << label << " r=" << r;
+    EXPECT_FALSE(reference.last_precheck_rejected()) << label;
+    if (r == 1) {
+      rejected = incremental.last_precheck_rejected();
+    } else {
+      EXPECT_EQ(incremental.last_precheck_rejected(), rejected) << label;
+    }
+  }
+  return rejected;
+}
+
+TEST(RefineShortcutTest, PeelRejectsACenterTheDegreePrecheckAdmits) {
+  // k = 4: four keyword neighbours pass the degree precheck (≥ 3), but each
+  // is adjacent to only one of the others, below the 2 partners a 4-truss
+  // edge through the center needs.
+  const Graph g = MakeEgoNetwork(4, {{1, 2}, {3, 4}});
+  EXPECT_TRUE(PrecheckRejectsCenter(g, 4, "matching"));
+  // The same ego network at k = 3 needs one partner each: admitted, and the
+  // two triangles are the community.
+  EXPECT_FALSE(PrecheckRejectsCenter(g, 3, "matching k=3"));
+}
+
+TEST(RefineShortcutTest, PeelKeepsAKClique) {
+  // K_k around the center: each of the k−1 neighbours has exactly k−2
+  // partners, the tightest ego network that holds a k-truss.
+  for (std::uint32_t k = 3; k <= 7; ++k) {
+    std::vector<std::pair<VertexId, VertexId>> inside;
+    for (VertexId u = 1; u < k; ++u) {
+      for (VertexId w = u + 1; w < k; ++w) inside.emplace_back(u, w);
+    }
+    const Graph g = MakeEgoNetwork(k - 1, inside);
+    EXPECT_FALSE(PrecheckRejectsCenter(g, k, "clique k=" + std::to_string(k)));
+    // One member short of a clique: the peel must reject it.
+    inside.pop_back();
+    EXPECT_TRUE(PrecheckRejectsCenter(MakeEgoNetwork(k - 1, inside), k,
+                                      "clique minus an edge k=" +
+                                          std::to_string(k)));
+  }
+}
+
+TEST(RefineShortcutTest, PeelCascades) {
+  // k = 4 (2 partners each). A path 1-2-3-4-5-6 in F: only the ends start
+  // below 2 partners, and each drop takes the next vertex inward. Dropping
+  // the two ends leaves four members, so only the cascade rejects.
+  EXPECT_TRUE(PrecheckRejectsCenter(
+      MakeEgoNetwork(6, {{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}), 4, "path"));
+  // A triangle {1, 2, 3} with a path 3-4-5-6 hanging off it: the cascade
+  // eats the path and stops at the triangle, whose K4 with the center is
+  // the community.
+  const Graph tail =
+      MakeEgoNetwork(6, {{1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
+  EXPECT_FALSE(PrecheckRejectsCenter(tail, 4, "triangle with a tail"));
+  SeedCommunityExtractor extractor(tail);
+  SeedCommunity community;
+  ASSERT_TRUE(extractor.Extract(0, MakeQuery({0}, 4, 1, 0.1, 1), &community));
+  EXPECT_EQ(community.vertices, (std::vector<VertexId>{0, 1, 2, 3}));
+}
+
+// Uni (small-world), Erdős–Rényi and power-law graphs with sparse query
+// keywords, so that both prechecks reject centers.
+std::vector<Graph> SweepGraphs() {
+  KeywordModel keywords;
+  keywords.domain_size = 12;
+  keywords.keywords_per_vertex = 1;
+  std::vector<Graph> graphs;
+  SmallWorldOptions uni;
+  uni.num_vertices = 200;
+  uni.ring_neighbors = 10;
+  uni.seed = 7;
+  uni.keywords = keywords;
+  graphs.push_back(MakeSmallWorld(uni).value());
+  ErdosRenyiOptions er;
+  er.num_vertices = 150;
+  er.edge_prob = 0.12;
+  er.seed = 8;
+  er.keywords = keywords;
+  graphs.push_back(MakeErdosRenyi(er).value());
+  PowerlawClusterOptions plc;
+  plc.num_vertices = 250;
+  plc.edges_per_vertex = 5;
+  plc.triangle_prob = 0.7;
+  plc.seed = 9;
+  plc.keywords = keywords;
+  graphs.push_back(MakePowerlawCluster(plc).value());
+  return graphs;
+}
+
+TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
+  ThreadPool pool(4);
+  std::uint64_t found = 0;
+  std::uint64_t peel_only_rejects = 0;
+  const std::vector<KeywordId> keywords = {0, 1, 2, 3, 4};
+  for (const Graph& g : SweepGraphs()) {
+    const BuiltIndex built = BuildIndexFor(g);
+    TopLDetector detector(g, built.pre(), built.tree);
+    SeedCommunityExtractor with_match(g);
+    SeedCommunityExtractor with_list(g);
+    SeedCommunityExtractor reference(g);
+    KeywordMatch match;
+    match.Fill(g, keywords);
+    for (std::uint32_t k = 3; k <= 5; ++k) {
+      for (std::uint32_t r = 1; r <= 2; ++r) {
+        const Query q = MakeQuery(keywords, k, r, 0.1, 4);
+        const std::string label =
+            "n=" + std::to_string(g.NumVertices()) + " " + Label(q);
+        // Every center, with and without the KeywordMatch.
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          SeedCommunity a;
+          SeedCommunity b;
+          SeedCommunity want;
+          const bool a_ok = with_match.Extract(
+              v, q, SeedCommunityExtractor::Mode::kIncremental, &a, &match);
+          const bool b_ok = with_list.Extract(
+              v, q, SeedCommunityExtractor::Mode::kIncremental, &b);
+          const bool want_ok = reference.Extract(
+              v, q, SeedCommunityExtractor::Mode::kReference, &want);
+          ASSERT_EQ(a_ok, want_ok) << label << " center " << v;
+          ASSERT_EQ(b_ok, want_ok) << label << " center " << v;
+          EXPECT_EQ(a.vertices, want.vertices) << label << " center " << v;
+          EXPECT_EQ(b.vertices, want.vertices) << label << " center " << v;
+          EXPECT_EQ(a.edges, want.edges) << label << " center " << v;
+          EXPECT_EQ(with_match.last_precheck_rejected(),
+                    with_list.last_precheck_rejected())
+              << label << " center " << v;
+          // A center with ≥ k−1 keyword neighbours that the peel rejects.
+          if (with_match.last_precheck_rejected() && match.Contains(v)) {
+            std::uint32_t keyword_neighbours = 0;
+            for (const Graph::Arc& arc : g.Neighbors(v)) {
+              keyword_neighbours += match.Contains(arc.to);
+            }
+            peel_only_rejects += keyword_neighbours + 1 >= k;
+          }
+        }
+        // The detector, sequentially and fanned out, against brute force.
+        Result<TopLResult> want = BruteForceTopL(g, q);
+        ASSERT_TRUE(want.ok());
+        Result<TopLResult> sequential = detector.Search(q);
+        ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+        ExpectIdentical(sequential->communities, want->communities, label.c_str());
+        EXPECT_LE(sequential->stats.precheck_rejected,
+                  sequential->stats.candidates_refined);
+        SearchControl control;
+        control.pool = &pool;
+        control.chunk_size = 4;
+        Result<TopLResult> parallel = detector.Search(q, QueryOptions(), control);
+        ASSERT_TRUE(parallel.ok());
+        ExpectIdentical(parallel->communities, want->communities,
+                        ("parallel " + label).c_str());
+        found += want->communities.size();
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(peel_only_rejects, 0u);
+}
+
+TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
+  // On the keyword-sparse graph most refined candidates fail a precheck;
+  // the counter sees them, sequentially and on the pool, and the engine-wide
+  // sum folds them in like every other counter.
+  const Graph g = MakeKeywordSparse(1);
+  const BuiltIndex built = BuildIndexFor(g);
+  TopLDetector detector(g, built.pre(), built.tree);
+  ThreadPool pool(4);
+  SearchControl control;
+  control.pool = &pool;
+  control.chunk_size = 2;
+  QueryStats total;
+  for (std::uint32_t k = 3; k <= 5; ++k) {
+    const Query q = MakeQuery({0, 1, 2, 3}, k, 2, 0.0, 4);
+    for (const bool parallel : {false, true}) {
+      Result<TopLResult> got =
+          parallel ? detector.Search(q, QueryOptions(), control) : detector.Search(q);
+      ASSERT_TRUE(got.ok());
+      EXPECT_GT(got->stats.precheck_rejected, 0u) << Label(q);
+      EXPECT_LE(got->stats.precheck_rejected + got->stats.communities_found,
+                got->stats.candidates_refined)
+          << Label(q);
+      total += got->stats;
+    }
+  }
+  EXPECT_GT(total.precheck_rejected, 0u);
 }
 
 TEST(RefineShortcutTest, ReusedDetectorMatchesFreshDetectorAcrossTheta) {
