@@ -67,7 +67,10 @@ struct QueryStats {
   std::uint64_t heap_pops = 0;
   std::uint64_t index_nodes_visited = 0;
 
-  std::uint64_t pruned_keyword = 0;   // candidates removed by Lemma 1 / 5
+  /// Candidates removed by Lemma 1 / 5, sharpened to the query's keyword
+  /// core: a leaf vertex outside the (k−1)-core of the keyword-holders'
+  /// subgraph, or every vertex of a subtree holding no core vertex.
+  std::uint64_t pruned_keyword = 0;
   std::uint64_t pruned_support = 0;   // candidates removed by Lemma 2 / 6
   std::uint64_t pruned_score = 0;     // candidates removed by Lemma 4 / 7
   std::uint64_t pruned_termination = 0;  // candidates skipped by early stop

@@ -162,6 +162,9 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   if (mode == Mode::kReference) match = nullptr;
   TOPL_DCHECK(match == nullptr || !query.keywords.empty(),
               "KeywordMatch needs query keywords");
+  TOPL_DCHECK(match == nullptr ||
+                  match->degree_bound() <= std::max<std::uint32_t>(query.k, 2) - 1,
+              "KeywordMatch core was peeled for a larger k than the query's");
   const bool filtered = !query.keywords.empty();  // as in HopExtractor
   if (mode == Mode::kIncremental &&
       !(match != nullptr
@@ -176,7 +179,8 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   }
   // Step 1: keyword-filtered r-hop BFS. Vertices beyond r hops in the
   // keyword-satisfying subgraph can only be further away in any community
-  // (a subgraph), so dropping them is exact, not heuristic.
+  // (a subgraph), so dropping them is exact, not heuristic. With a match the
+  // BFS walks the keyword core only, which holds every community.
   const bool has_ball =
       match != nullptr
           ? hop_.ExtractMatching(center, query.radius, *match, &lg_)

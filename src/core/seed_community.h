@@ -85,11 +85,15 @@ class SeedCommunityExtractor {
   /// notes"). kReference always runs the full pipeline, so brute force
   /// checks both.
   ///
-  /// `match`, if given, must be filled from query.keywords (non-empty).
-  /// kIncremental then tests keywords in the precheck and the ball's BFS by
-  /// one bit per vertex instead of merging keyword lists, with the same
-  /// answer. The detector's hot path passes it. kReference ignores it and
-  /// keeps the keyword-list test, so brute force checks the bitmap too.
+  /// `match`, if given, must be filled from query.keywords (non-empty) at a
+  /// k no larger than query.k. kIncremental then admits a vertex to the
+  /// prechecks' F and to the ball's BFS only when it lies in the match's
+  /// keyword core C, one bit per vertex instead of a keyword-list merge. The
+  /// BFS then walks only core vertices, and the answer is the same: every
+  /// community lies in C, and the fixpoint over the smaller ball reaches the
+  /// same maximal community (README, "Design notes"). The detector's hot
+  /// path passes it. kReference ignores it and keeps the keyword-list test
+  /// over the whole ball, so brute force checks the core too.
   bool Extract(VertexId center, const Query& query, Mode mode,
                SeedCommunity* out, const KeywordMatch* match = nullptr);
 

@@ -93,6 +93,13 @@ class TopLCollector {
 // the wave. With no usable score bound (θ < θ_1) every key is +∞ and the
 // traversal degrades to an exhaustive filtered scan, which is still correct.
 //
+// Keyword pruning reads the query's keyword core C (KeywordMatch), which
+// holds every community's members: a child whose subtree holds no vertex of
+// C is skipped, and so is a leaf vertex outside C. The core is filled once
+// per query, at the first child that passes the precomputed signature,
+// support, truss and score tests (or at the first leaf popped), so a query
+// those tests prune near the root never pays for it.
+//
 // Every threshold comparison is *strict* (< rather than ≤): a candidate
 // whose upper bound ties the current σ_L could still displace the collector's
 // worst entry through the center-id tie-break, so it must be refined. This
@@ -103,7 +110,8 @@ class PlanCursor {
  public:
   PlanCursor(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree,
              const Query& query, const QueryOptions& options, int z,
-             const BitVector& query_bv, KeywordMatch* match)
+             const BitVector& query_bv, KeywordMatch* match,
+             std::vector<std::uint8_t>* core_subtrees)
       : graph_(&g),
         pre_(&pre),
         tree_(&tree),
@@ -113,7 +121,8 @@ class PlanCursor {
         score_pruning_(options.use_score_pruning && z >= 0),
         required_support_(query.k >= 2 ? query.k - 2 : 0),
         query_bv_(&query_bv),
-        match_(match) {
+        match_(match),
+        core_subtrees_(core_subtrees) {
     heap_.emplace(NodeKey(tree.root()), tree.root());
   }
 
@@ -153,17 +162,16 @@ class PlanCursor {
       ++stats->index_nodes_visited;
 
       if (node.is_leaf) {
-        if (!match_filled_) {
-          match_->Fill(*graph_, query_->keywords);
-          match_filled_ = true;
-        }
+        FillCore();
         for (VertexId v : tree_->LeafVertices(node)) {
           // Candidate-level pruning (Lemmas 1, 2, 4) on hop(v, r).
           if (options_->use_keyword_pruning && !match_->Contains(v)) {
-            // The center holds no query keyword, and the center is in every
-            // g (Lemma 1). BV_r(v) folds in v's own keywords, so a center
-            // that passes this test always passes the ball signature test:
-            // that probe would never prune here (README, "Design notes").
+            // The center is outside the keyword core, and the center is in
+            // every g (Lemma 1, sharpened to C). C holds only vertices that
+            // carry a query keyword, and BV_r(v) folds in v's own keywords,
+            // so a center that passes this test always passes the ball
+            // signature test: that probe would never prune here (README,
+            // "Design notes").
             ++stats->pruned_keyword;
             continue;
           }
@@ -208,6 +216,11 @@ class PlanCursor {
             stats->pruned_score += tree_->node(child).num_vertices;
             continue;
           }
+          if (options_->use_keyword_pruning && !SubtreeHoldsCore(child)) {
+            // No vertex underneath can center (or join) a community.
+            stats->pruned_keyword += tree_->node(child).num_vertices;
+            continue;
+          }
           heap_.emplace(child_key, child);
         }
       }
@@ -215,6 +228,23 @@ class PlanCursor {
   }
 
  private:
+  // Fills the query's keyword core; every refined candidate comes from a
+  // leaf, so extraction always sees it filled.
+  void FillCore() {
+    if (core_filled_) return;
+    match_->Fill(*graph_, query_->keywords, query_->k);
+    core_filled_ = true;
+  }
+
+  bool SubtreeHoldsCore(std::uint32_t node_id) {
+    if (!subtrees_marked_) {
+      FillCore();
+      tree_->MarkCoreSubtrees(*match_, core_subtrees_);
+      subtrees_marked_ = true;
+    }
+    return (*core_subtrees_)[node_id] != 0;
+  }
+
   double NodeKey(std::uint32_t id) const {
     return z_ >= 0
                ? tree_->ScoreBound(id, query_->radius, static_cast<std::uint32_t>(z_))
@@ -230,14 +260,14 @@ class PlanCursor {
   const bool score_pruning_;
   const std::uint32_t required_support_;
   const BitVector* query_bv_;
-  // The query's keyword bitmap, which every later keyword test of the query
-  // reads (leaf filter, prechecks, ball BFS). It is filled from the query
-  // keywords' posting lists, so no query pays an O(n) keyword scan. The fill
-  // waits for the first leaf, so a query pruned above the leaves skips it;
-  // every refined candidate comes from a leaf, so extraction always sees it
-  // filled.
+  // The query's keyword core C, which every later keyword test of the query
+  // reads (subtree marks, leaf filter, prechecks, ball BFS), and the per-node
+  // marks of the subtrees that hold a vertex of C. Both are filled lazily,
+  // at most once per query.
   KeywordMatch* match_;
-  bool match_filled_ = false;
+  std::vector<std::uint8_t>* core_subtrees_;
+  bool core_filled_ = false;
+  bool subtrees_marked_ = false;
 
   // Max-heap over index entries, keyed by the aggregated score bound.
   using HeapEntry = std::pair<double, std::uint32_t>;  // (key, node id)
@@ -316,6 +346,9 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
         scratch.extractor.last_support_recomputes_avoided();
     if (!found) continue;
     const std::vector<VertexId>& seeds = candidate.community.vertices;
+    TOPL_DCHECK(std::all_of(seeds.begin(), seeds.end(),
+                            [&](VertexId u) { return match.Contains(u); }),
+                "a community member lies outside the query's keyword core");
     std::optional<double> known = query_memo.Find(seeds);
     if (!known) known = worker_memo->Find(seeds);
     if (known) {
@@ -371,7 +404,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
 
   TopLCollector collector(query.top_l);
   PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv,
-                  &keyword_match_);
+                  &keyword_match_, &core_subtrees_);
   const DeadlineClock deadline(control.deadline_seconds);
   const bool checkpoints = control.NeedsCheckpoints();
 

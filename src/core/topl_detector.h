@@ -47,7 +47,9 @@ class RefineScratchPool : public LeasePool<RefineScratch> {
 ///  - Plan: best-first traversal of the tree index with a max-heap keyed by
 ///    the nodes' influential-score upper bounds, applying the index-level
 ///    pruning rules (Lemmas 5–7) at non-leaf entries and the candidate-level
-///    rules (Lemmas 1, 2, 4) at leaf vertices. The traversal is exposed as a
+///    rules (Lemmas 1, 2, 4) at leaf vertices. Keyword pruning also skips
+///    every subtree and leaf vertex outside the query's keyword core (the
+///    (k−1)-core of the keyword-holders' subgraph, KeywordMatch). The traversal is exposed as a
 ///    cursor that yields *waves* of surviving candidate centers.
 ///  - Score: each wave's candidates are refined — maximal seed community
 ///    extraction plus an exact score-only MIA propagation of σ(g) — either
@@ -77,7 +79,7 @@ class RefineScratchPool : public LeasePool<RefineScratch> {
 /// Refinement scratch comes from a RefineScratchPool: the calling thread
 /// leases one RefineScratch per query, and a pool task leases one only once
 /// it has claimed a chunk. A detector still serves one query at a time (it
-/// keeps the query's keyword bitmap); use one detector per thread, or serve
+/// keeps the query's keyword core); use one detector per thread, or serve
 /// through topl::Engine (engine/engine.h), which leases one detector per
 /// in-flight query and lets every detector over one snapshot share a
 /// RefineScratchPool. The referenced graph/index must outlive it.
@@ -109,10 +111,12 @@ class TopLDetector {
   const PrecomputedData* pre_;
   const TreeIndex* tree_;
   std::shared_ptr<RefineScratchPool> scratch_;
-  // The running query's keyword predicate per vertex (n/64 words), refilled
-  // by each query's plan stage before any candidate is refined; parallel
-  // scoring workers only read it.
+  // The running query's keyword core (KeywordMatch), refilled by each
+  // query's plan stage before any candidate is refined, and the marks of the
+  // index subtrees that hold a vertex of it; parallel scoring workers only
+  // read the core.
   KeywordMatch keyword_match_;
+  std::vector<std::uint8_t> core_subtrees_;
 };
 
 }  // namespace topl

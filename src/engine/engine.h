@@ -262,8 +262,9 @@ class Engine {
  private:
   /// One worker's detectors + stats shard. Leased to exactly one query at a
   /// time. Both detectors lease refinement scratch from the snapshot's
-  /// shared RefineScratchPool, so a context itself holds only a keyword
-  /// bitmap per detector. The DTopLDetector is only materialized once the
+  /// shared RefineScratchPool, so a context itself holds only a query's
+  /// keyword core (KeywordMatch: two bitmaps and one peel counter per keyword
+  /// holder) per detector. The DTopLDetector is only materialized once the
   /// context serves its first diversified query.
   ///
   /// A context is bound to one snapshot for life: the detectors hold

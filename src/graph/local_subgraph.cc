@@ -1,6 +1,7 @@
 #include "graph/local_subgraph.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "common/epoch.h"
@@ -42,11 +43,75 @@ bool HopExtractor::HasAnyKeyword(const Graph& g, VertexId v,
   return false;
 }
 
-void KeywordMatch::Fill(const Graph& g, std::span<const KeywordId> query) {
-  words_.assign((g.NumVertices() + 63) / 64, 0);
+void KeywordMatch::Fill(const Graph& g, std::span<const KeywordId> query,
+                        std::uint32_t k) {
+  const std::size_t num_words = (g.NumVertices() + 63) / 64;
+  matched_.assign(num_words, 0);
   for (const KeywordId w : query) {
     for (const VertexId v : g.Postings(w)) {
-      words_[v >> 6] |= std::uint64_t{1} << (v & 63);
+      matched_[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
+  }
+  degree_bound_ = std::max<std::uint32_t>(k, 2) - 1;
+  rank_base_.resize(num_words);
+  std::uint32_t members = 0;
+  for (std::size_t i = 0; i < num_words; ++i) {
+    rank_base_[i] = members;
+    members += static_cast<std::uint32_t>(std::popcount(matched_[i]));
+  }
+  core_.assign(matched_.begin(), matched_.end());
+
+  const auto in = [](const std::vector<std::uint64_t>& words, VertexId v) {
+    return static_cast<std::uint32_t>(words[v >> 6] >> (v & 63)) & 1u;
+  };
+  const auto member = [](std::size_t word, std::uint64_t bits) {
+    return static_cast<VertexId>(word * 64 + std::countr_zero(bits));
+  };
+
+  // One forward pass over M counts each member's matched neighbours (one bit
+  // read per arc, added without a branch) while the next word's adjacency
+  // lists are prefetched, and peels as it goes. degree_[rank] holds, for a
+  // member already counted, its matched neighbours still in the core or
+  // awaiting their decrements; before the count it holds minus the removed
+  // neighbours seen so far, which the count then absorbs (mod 2^32). A
+  // removal decrements each neighbour still in the core, and a counted one
+  // that falls below the bound leaves too.
+  degree_.assign(members, 0);
+  cascade_.clear();
+  std::uint32_t counted = 0;
+  const auto remove = [&](VertexId v) {
+    core_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+  };
+  const auto decrement = [&](VertexId u) {
+    if (!in(core_, u)) return;
+    const std::uint32_t rank = RankInMatched(u);
+    if (--degree_[rank] < degree_bound_ && rank < counted) {
+      remove(u);
+      cascade_.push_back(u);
+    }
+  };
+  for (std::size_t i = 0; i < num_words; ++i) {
+    if (i + 1 < num_words) {
+      for (std::uint64_t bits = matched_[i + 1]; bits != 0; bits &= bits - 1) {
+        __builtin_prefetch(g.Neighbors(member(i + 1, bits)).data());
+      }
+    }
+    for (std::uint64_t bits = matched_[i]; bits != 0; bits &= bits - 1) {
+      const VertexId v = member(i, bits);
+      const std::span<const Graph::Arc> arcs = g.Neighbors(v);
+      std::uint32_t degree = 0;
+      for (const Graph::Arc& arc : arcs) degree += in(matched_, arc.to);
+      degree_[counted++] += degree;
+      if (degree_[counted - 1] >= degree_bound_) continue;
+      // The neighbours to decrement come from the arcs just read; only
+      // cascaded removals read adjacency again.
+      remove(v);
+      for (const Graph::Arc& arc : arcs) decrement(arc.to);
+      while (!cascade_.empty()) {
+        const VertexId u = cascade_.back();
+        cascade_.pop_back();
+        for (const Graph::Arc& arc : g.Neighbors(u)) decrement(arc.to);
+      }
     }
   }
 }

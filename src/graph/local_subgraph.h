@@ -1,6 +1,7 @@
 #ifndef TOPL_GRAPH_LOCAL_SUBGRAPH_H_
 #define TOPL_GRAPH_LOCAL_SUBGRAPH_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,34 +49,78 @@ struct LocalGraph {
   void Clear();
 };
 
-/// \brief One query's keyword predicate ("does v.W intersect Q?") for every
-/// vertex, as a bitmap over vertex ids.
+/// \brief One query's keyword core: the vertices that can belong to a seed
+/// community of (Q, k, r), as a bitmap over vertex ids.
 ///
-/// The detector's hot path asks this question for the same vertices many
-/// times per query: once per leaf vertex (Lemma 1's center test), once per
-/// neighbour in the center prechecks, and once per arc of every
-/// keyword-filtered ball. Filling the bitmap zeroes n/64 words and sets the
-/// bits of the query keywords' posting lists (Graph::Postings), so it costs
-/// O(n/64 + Σ_{w∈Q} |postings(w)|) and never scans the vertices' keyword
-/// lists; every test after that is one bit.
+/// Every member of a seed community holds a query keyword (Definition 2), and
+/// a k-truss gives each member at least k−1 neighbours inside it. So every
+/// community lies in C, the (k−1)-core of G[M], where M is the set of
+/// vertices that hold a keyword of Q and k−1 means max(k, 2)−1, the
+/// extractor's own center-degree bound (README, "Design notes"). Fill
+/// computes C and Contains(v) answers v ∈ C. The detector's hot path asks
+/// this for the same vertices many times per query: once per leaf vertex
+/// (Lemma 1's center test, sharpened), once per neighbour in the center
+/// prechecks, and once per arc of every keyword-filtered ball.
+///
+/// Fill costs O(n/64 + Σ_{w∈Q} |postings(w)| + Σ_{v∈M} deg v) and never
+/// scans the vertices' keyword lists: it sets M's bits from the query
+/// keywords' posting lists (Graph::Postings), then counts each member's
+/// matched neighbours in one forward pass over M and peels as it goes. A
+/// member below the bound decrements its neighbours from the arcs the pass
+/// just read; only cascaded removals read adjacency again. The peel's
+/// scratch is one counter per member of M, not per vertex.
 ///
 /// Holds reusable storage; refill it for each query. Readers may share a
 /// filled instance across threads.
 class KeywordMatch {
  public:
-  /// Sets bit v iff HopExtractor::HasAnyKeyword(g, v, query), for every vertex
-  /// of g. `query` is a sorted KeywordId list; a keyword no vertex holds sets
-  /// nothing.
-  void Fill(const Graph& g, std::span<const KeywordId> query);
+  /// Fills M from the sorted KeywordId list `query` (a keyword no vertex
+  /// holds adds nothing) and peels G[M] to its (max(k, 2)−1)-core C.
+  void Fill(const Graph& g, std::span<const KeywordId> query, std::uint32_t k);
 
-  /// True iff v.W intersects the query the bitmap was last filled for.
+  /// True iff v ∈ C for the query the bitmap was last filled for.
   bool Contains(VertexId v) const {
-    TOPL_DCHECK(v / 64 < words_.size(), "KeywordMatch: vertex not filled");
-    return (words_[v >> 6] >> (v & 63)) & 1u;
+    TOPL_DCHECK(v / 64 < core_.size(), "KeywordMatch: vertex not filled");
+    return (core_[v >> 6] >> (v & 63)) & 1u;
+  }
+
+  /// True iff v ∈ M: v.W intersects the query, i.e. HopExtractor::
+  /// HasAnyKeyword(g, v, query). C ⊆ M.
+  bool Holds(VertexId v) const {
+    TOPL_DCHECK(v / 64 < matched_.size(), "KeywordMatch: vertex not filled");
+    return (matched_[v >> 6] >> (v & 63)) & 1u;
+  }
+
+  /// The core's degree bound, max(k, 2)−1, of the last Fill. C for a bound b
+  /// contains C for every bound above b, so a core may serve any query whose
+  /// bound is at least this one.
+  std::uint32_t degree_bound() const { return degree_bound_; }
+
+  /// Calls f(v) for every v ∈ C, ascending.
+  template <typename F>
+  void ForEachInCore(F&& f) const {
+    for (std::size_t i = 0; i < core_.size(); ++i) {
+      for (std::uint64_t bits = core_[i]; bits != 0; bits &= bits - 1) {
+        f(static_cast<VertexId>(i * 64 + std::countr_zero(bits)));
+      }
+    }
   }
 
  private:
-  std::vector<std::uint64_t> words_;  // bit v: v holds a query keyword
+  /// Index of member v in M's ascending order.
+  std::uint32_t RankInMatched(VertexId v) const {
+    const std::uint64_t below = (std::uint64_t{1} << (v & 63)) - 1;
+    return rank_base_[v >> 6] +
+           static_cast<std::uint32_t>(std::popcount(matched_[v >> 6] & below));
+  }
+
+  std::vector<std::uint64_t> core_;     // bit v: v ∈ C
+  std::vector<std::uint64_t> matched_;  // bit v: v ∈ M
+  std::uint32_t degree_bound_ = 1;
+  // Peel scratch, reused across fills (see Fill).
+  std::vector<std::uint32_t> rank_base_;  // members in the words before
+  std::vector<std::uint32_t> degree_;     // per member, by rank in M
+  std::vector<VertexId> cascade_;         // removals awaiting decrements
 };
 
 /// \brief Extracts hop(center, r) subgraphs, reusing scratch buffers across
@@ -101,10 +146,10 @@ class HopExtractor {
                std::span<const KeywordId> keyword_filter, LocalGraph* out);
 
   /// Extract with the filter given as the query's filled KeywordMatch: only
-  /// vertices whose bit is set are traversed. For a non-empty query Q,
-  /// ExtractMatching(c, r, match filled from Q, out) produces the same
-  /// LocalGraph as Extract(c, r, Q, out). The detector's incremental
-  /// seed-community path uses this form.
+  /// vertices of its core C are traversed. The result is the part of
+  /// Extract(c, r, Q, out) reachable from c within r hops through C, which
+  /// holds every seed community of c (README, "Design notes"). The
+  /// detector's incremental seed-community path uses this form.
   bool ExtractMatching(VertexId center, std::uint32_t radius,
                        const KeywordMatch& filter, LocalGraph* out);
 

@@ -308,9 +308,10 @@ Result<UpdatedIndex> IndexUpdater::Apply(const Graph& base,
   }
 
   // Materialize the tree into owned memory (vertex order and node structure
-  // are kept), re-point it at the new precompute, and patch aggregates along
-  // every root-to-dirty-leaf path. The arena is built bottom-up (children
-  // always precede parents), so one ascending pass settles all dirty nodes.
+  // are kept, and with them the vertex→leaf map), re-point it at the new
+  // precompute, and patch aggregates along every root-to-dirty-leaf path. The
+  // arena is built bottom-up (children always precede parents), so one
+  // ascending pass settles all dirty nodes.
   TreeIndex& t = out.tree;
   t.pre_ = out.pre.get();
   t.r_max_ = tree.r_max_;
@@ -328,6 +329,7 @@ Result<UpdatedIndex> IndexUpdater::Apply(const Graph& base,
                                       tree.center_truss_bounds_.end());
   t.owned_score_bounds_.assign(tree.score_bounds_.begin(),
                                tree.score_bounds_.end());
+  t.leaf_of_ = tree.leaf_of_;
 
   std::vector<char> dirty_vertex(base.NumVertices(), 0);
   for (VertexId v : dirty) dirty_vertex[v] = 1;

@@ -18,6 +18,31 @@ bool TreeIndex::SignatureIntersects(std::uint32_t node_id, std::uint32_t r,
   return false;
 }
 
+void TreeIndex::BuildLeafMap() {
+  leaf_of_.assign(sorted_vertices_.size(), 0);
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    const Node& node = nodes_[id];
+    if (node.is_leaf == 0) continue;
+    for (const VertexId v : LeafVertices(node)) leaf_of_[v] = id;
+  }
+}
+
+void TreeIndex::MarkCoreSubtrees(const KeywordMatch& match,
+                                 std::vector<std::uint8_t>* marks) const {
+  marks->assign(nodes_.size(), 0);
+  std::uint8_t* mark = marks->data();
+  match.ForEachInCore([&](VertexId v) { mark[leaf_of_[v]] = 1; });
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    const Node& node = nodes_[id];
+    if (node.is_leaf != 0) continue;
+    std::uint8_t any = 0;
+    for (std::uint32_t c = 0; c < node.num_children; ++c) {
+      any |= mark[node.first_child + c];
+    }
+    mark[id] = any;
+  }
+}
+
 Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
                                    const TreeIndexOptions& options) {
   if (options.fanout < 2) return Status::InvalidArgument("fanout must be >= 2");
@@ -142,6 +167,7 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
   }
   index.root_ = level.front();
   index.BindOwned();
+  index.BuildLeafMap();
   return index;
 }
 

@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "graph/graph.h"
+#include "graph/local_subgraph.h"
 #include "index/precompute.h"
 #include "keywords/bit_vector.h"
 
@@ -34,7 +35,10 @@ struct TreeIndexOptions {
 ///    best-first traversal key of Algorithm 3).
 ///
 /// Nodes live in one arena; children of a node are contiguous, so a node
-/// stores only (first_child, num_children). The index references the
+/// stores only (first_child, num_children), and every child precedes its
+/// parent. The leaves partition the vertex order, and a vertex→leaf map
+/// (derived wherever the arena is bound, never stored) lets a query mark the
+/// subtrees that hold its keyword core. The index references the
 /// PrecomputedData it was built from but does not own it.
 ///
 /// Like Graph and PrecomputedData, the node arena and every aggregate array
@@ -80,6 +84,14 @@ class TreeIndex {
 
   std::span<const VertexId> sorted_vertices() const { return sorted_vertices_; }
 
+  /// Sets (*marks)[id] to 1 iff node id's subtree holds a vertex of the
+  /// filled match's core C, and to 0 otherwise, for every node: each vertex
+  /// of C marks its leaf, then one ascending pass over the arena ORs every
+  /// node's children into it, which works because children precede their
+  /// parents. O(|C| + nodes).
+  void MarkCoreSubtrees(const KeywordMatch& match,
+                        std::vector<std::uint8_t>* marks) const;
+
   /// Aggregated BV_r of node ∧ query ≠ 0?
   bool SignatureIntersects(std::uint32_t node_id, std::uint32_t r,
                            const BitVector& query_bv) const;
@@ -119,6 +131,11 @@ class TreeIndex {
     score_bounds_ = owned_score_bounds_;
   }
 
+  /// Derives leaf_of_ from the bound arena and vertex order. Every path that
+  /// binds them (Build, ArtifactReader::Open) calls it; IndexUpdater copies
+  /// the map, since updates keep leaf membership.
+  void BuildLeafMap();
+
   std::size_t SigOffset(std::uint32_t node_id, std::uint32_t r) const {
     return ((static_cast<std::size_t>(node_id) * r_max_) + (r - 1)) * words_;
   }
@@ -151,6 +168,9 @@ class TreeIndex {
   std::vector<std::uint32_t> owned_support_bounds_;
   std::vector<std::uint32_t> owned_center_truss_bounds_;
   std::vector<double> owned_score_bounds_;
+
+  // Vertex → leaf node id. Owned in both backings, so a moved index keeps it.
+  std::vector<std::uint32_t> leaf_of_;
 
   // Keeps the mmap alive for artifact-backed instances.
   std::shared_ptr<const MappedFile> backing_;

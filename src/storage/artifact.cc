@@ -720,19 +720,42 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
     }
   }
 
-  // Tree invariants.
-  for (const TreeIndex::Node& node : s.nodes) {
+  // Tree invariants, including the two that the query's subtree marking
+  // relies on: children precede their parent (one ascending pass settles
+  // every node), and each vertex sits in exactly one leaf (the vertex→leaf
+  // map), i.e. the leaves partition the slots of a permuted vertex order.
+  std::vector<char> slot_taken(n, 0);
+  std::uint64_t slots_covered = 0;
+  for (std::uint64_t id = 0; id < nodes; ++id) {
+    const TreeIndex::Node& node = s.nodes[id];
     if (node.is_leaf > 1) return Corrupt(path, "node leaf flag out of range");
     if (node.is_leaf == 0 && (node.first_child >= nodes ||
                               node.num_children > nodes - node.first_child)) {
       return Corrupt(path, "node child range out of bounds");
     }
-    if (node.is_leaf == 1 && (node.begin > node.end || node.end > n)) {
-      return Corrupt(path, "leaf vertex range out of bounds");
+    if (node.is_leaf == 0 &&
+        std::uint64_t{node.first_child} + node.num_children > id) {
+      return Corrupt(path, "node does not follow its children");
+    }
+    if (node.is_leaf == 1) {
+      if (node.begin > node.end || node.end > n) {
+        return Corrupt(path, "leaf vertex range out of bounds");
+      }
+      for (std::uint32_t i = node.begin; i < node.end; ++i) {
+        if (slot_taken[i]) return Corrupt(path, "leaves overlap");
+        slot_taken[i] = 1;
+      }
+      slots_covered += node.end - node.begin;
     }
   }
+  if (slots_covered != n) {
+    return Corrupt(path, "leaves do not cover every vertex");
+  }
+  std::vector<char> seen(n, 0);
   for (VertexId v : s.sorted) {
     if (v >= n) return Corrupt(path, "sorted vertex out of range");
+    if (seen[v]) return Corrupt(path, "sorted vertices are not a permutation");
+    seen[v] = 1;
   }
   return Status::OK();
 }
@@ -1016,6 +1039,7 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   }
   tree.score_bounds_ = SectionView<double>(f, parsed, kTreeScores);
   tree.backing_ = mapped;
+  tree.BuildLeafMap();
 
   out.external_ids.assign(s.extids.begin(), s.extids.end());
   for (std::size_t i = 0; i < parsed.num_sections(); ++i) {

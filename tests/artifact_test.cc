@@ -639,6 +639,96 @@ TEST_F(ArtifactTest, CorruptedExternalIdSectionIsRejected) {
   EXPECT_TRUE(ArtifactReader::Open(path, no_verify).ok());
 }
 
+TEST_F(ArtifactTest, TreeShapeCorruptionIsRejectedWithoutChecksums) {
+  // A query marks the subtrees that hold its keyword core in one ascending
+  // pass over the arena and a vertex→leaf map, so the reader must reject an
+  // arena whose children do not precede their parent, leaves that do not
+  // partition the vertex slots, and a vertex order that is not a
+  // permutation, even with the checksum pass disabled.
+  TreeIndexOptions shape;
+  shape.fanout = 2;
+  shape.leaf_capacity = 4;
+  const BuiltIndex built = BuildIndexFor(*graph_, PrecomputeOptions(), shape);
+  const std::string path = Path("tree.idx");
+  ASSERT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, path).ok());
+  Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
+  ASSERT_TRUE(info.ok());
+  std::size_t nodes_offset = 0;
+  std::size_t sorted_offset = 0;
+  for (const ArtifactSectionInfo& section : info->sections) {
+    if (section.name == "t.nodes") nodes_offset = section.offset;
+    if (section.name == "t.sorted") sorted_offset = section.offset;
+  }
+  ASSERT_GT(nodes_offset, 0u);
+  ASSERT_GT(sorted_offset, 0u);
+  const std::vector<char> original = ReadAll(path);
+  ArtifactReadOptions no_verify;
+  no_verify.verify_checksums = false;
+  ASSERT_TRUE(ArtifactReader::Open(path, no_verify).ok());
+
+  const auto node_at = [&](const std::vector<char>& bytes, std::uint32_t id) {
+    TreeIndex::Node node;
+    std::memcpy(&node, bytes.data() + nodes_offset + id * sizeof(node),
+                sizeof(node));
+    return node;
+  };
+  const auto expect_rejected = [&](const std::vector<char>& bytes,
+                                   const std::string& reason) {
+    WriteAll(path, bytes);
+    Result<MappedIndex> opened = ArtifactReader::Open(path, no_verify);
+    ASSERT_FALSE(opened.ok()) << reason;
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find(reason), std::string::npos)
+        << opened.status().ToString();
+  };
+  const auto with_node = [&](std::uint32_t id, const TreeIndex::Node& node) {
+    std::vector<char> bytes = original;
+    std::memcpy(bytes.data() + nodes_offset + id * sizeof(node), &node,
+                sizeof(node));
+    return bytes;
+  };
+
+  // The first internal node, and the first leaf followed by another leaf.
+  const std::uint32_t num_nodes = static_cast<std::uint32_t>(built.tree.NumNodes());
+  std::uint32_t internal = num_nodes;
+  std::uint32_t leaf = num_nodes;
+  for (std::uint32_t id = 0; id < num_nodes; ++id) {
+    const TreeIndex::Node node = node_at(original, id);
+    if (!node.is_leaf && internal == num_nodes) internal = id;
+    if (node.is_leaf && leaf == num_nodes && id + 1 < num_nodes &&
+        node_at(original, id + 1).is_leaf) {
+      leaf = id;
+    }
+  }
+  ASSERT_LT(internal + 2, num_nodes);  // not the root
+  ASSERT_LT(leaf, num_nodes);
+
+  // A child range that ends past its parent, still inside the arena.
+  TreeIndex::Node node = node_at(original, internal);
+  ASSERT_GE(internal + 2, node.num_children);
+  node.first_child = internal + 2 - node.num_children;
+  expect_rejected(with_node(internal, node), "node does not follow its children");
+
+  // Two leaves claiming one slot, and a slot no leaf claims.
+  node = node_at(original, leaf);
+  ASSERT_EQ(node_at(original, leaf + 1).begin, node.end);
+  ++node.end;
+  expect_rejected(with_node(leaf, node), "leaves overlap");
+  node.end -= 2;
+  ASSERT_LE(node.begin, node.end);
+  expect_rejected(with_node(leaf, node), "leaves do not cover every vertex");
+
+  // A vertex order that repeats a vertex (and so misses another).
+  std::vector<char> duplicated = original;
+  std::memcpy(duplicated.data() + sorted_offset,
+              duplicated.data() + sorted_offset + sizeof(VertexId),
+              sizeof(VertexId));
+  expect_rejected(duplicated, "sorted vertices are not a permutation");
+
+  WriteAll(path, original);
+  EXPECT_TRUE(ArtifactReader::Open(path, no_verify).ok());
+}
+
 TEST_F(ArtifactTest, CompressedCorruptionSweepStaysRejectedWithChecksums) {
   // The v1 flip sweep (FlippedBytesInEverySectionAreRejected) re-run over a
   // compressed v2 artifact: per-section checksums still catch every flip.

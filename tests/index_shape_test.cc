@@ -1,7 +1,8 @@
 // Index-geometry invariance: the tree's fanout and leaf capacity are pure
 // performance knobs — every shape must return byte-identical answers, and
 // pruning must stay safe at the degenerate extremes (binary tree with
-// single-vertex leaves; one giant root leaf).
+// single-vertex leaves; one giant root leaf), the keyword core's subtree
+// marks included.
 
 #include <tuple>
 
@@ -57,6 +58,26 @@ TEST_P(IndexShapeTest, ShapeDoesNotAffectAnswers) {
   // Accounting must close under every shape.
   EXPECT_EQ(indexed->stats.TotalPruned() + indexed->stats.candidates_refined,
             g->NumVertices());
+
+  // With keyword pruning alone, the descent's subtree marks and the leaf
+  // filter keep exactly the query's keyword core, whatever the shape.
+  QueryOptions keyword_only;
+  keyword_only.use_support_pruning = false;
+  keyword_only.use_score_pruning = false;
+  Result<TopLResult> exhaustive = detector.Search(q, keyword_only);
+  ASSERT_TRUE(exhaustive.ok());
+  std::uint64_t core_size = 0;
+  for (const char in_core : testing::ReferenceKeywordCore(*g, q.keywords, q.k)) {
+    core_size += in_core;
+  }
+  EXPECT_EQ(exhaustive->stats.candidates_refined, core_size);
+  EXPECT_EQ(exhaustive->stats.pruned_keyword, g->NumVertices() - core_size);
+  const auto c = Scores(exhaustive->communities);
+  ASSERT_EQ(c.size(), b.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(c[i], a[i]) << "fanout=" << fanout << " leaf=" << leaf_capacity
+                          << " rank " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

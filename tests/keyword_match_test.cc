@@ -1,23 +1,30 @@
-// The per-query keyword bitmap (KeywordMatch) against the keyword-list test
-// it stands in for on the detector's hot path:
-//  - bit v equals HopExtractor::HasAnyKeyword(g, v, Q) for every vertex,
+// The per-query keyword core (KeywordMatch) against the tests it stands in
+// for on the detector's hot path:
+//  - Holds(v) equals HopExtractor::HasAnyKeyword(g, v, Q) for every vertex,
 //    across word boundaries, keyword-less vertices, query keywords beyond
 //    the graph's keyword domain or held by no vertex, and keyword ids up to
 //    kMaxKeywordId;
-//  - the posting lists the bitmap is filled from hold exactly the vertices
-//    of each keyword, ascending, wherever the Graph comes from: GraphBuilder,
-//    a mapped artifact (raw and compressed), an ApplyDelta stream that adds
-//    and removes keywords and deletes edges, and a moved Graph;
-//  - the bitmap-filtered ball BFS builds the same LocalGraph as the
-//    keyword-list-filtered one, for every center and radius;
+//  - Contains(v) equals a brute-force (max(k, 2)−1)-core of G[Q] at every
+//    k ∈ {2, …, 6}, including cascades, a clique that survives whole, a
+//    keyword that no vertex holds and the empty core;
+//  - the posting lists the core is filled from hold exactly the vertices of
+//    each keyword, ascending, and the core agrees with the brute force,
+//    wherever the Graph comes from: GraphBuilder, a mapped artifact (raw and
+//    compressed), an ApplyDelta stream that adds and removes keywords and
+//    deletes edges, and a moved Graph;
+//  - the core-filtered ball BFS builds the same LocalGraph as the
+//    keyword-list-filtered BFS over the same graph with every keyword of
+//    the vertices outside the core removed, for every center and radius;
 //  - a detector reused across queries with disjoint keywords answers like a
 //    fresh detector and like brute force, sequentially and in parallel, so no
 //    bit of an earlier query leaks into a later one.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +48,7 @@ namespace {
 using testing::BuildIndexFor;
 using testing::BuiltIndex;
 using testing::ExpectIdentical;
+using testing::ReferenceKeywordCore;
 
 // A ring of n vertices. Every fifth vertex carries no keyword; the others
 // carry one to three keywords of a 12-keyword domain.
@@ -115,10 +123,10 @@ TEST(KeywordMatchTest, MembershipEqualsHasAnyKeywordForEveryVertex) {
         {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
     };
     for (const std::vector<KeywordId>& q : queries) {
-      match.Fill(g, q);
+      match.Fill(g, q, 2);
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
         const bool want = HopExtractor::HasAnyKeyword(g, v, q);
-        ASSERT_EQ(match.Contains(v), want)
+        ASSERT_EQ(match.Holds(v), want)
             << "n=" << n << " query[0]=" << q[0] << " vertex " << v;
         matched += want;
       }
@@ -129,8 +137,9 @@ TEST(KeywordMatchTest, MembershipEqualsHasAnyKeywordForEveryVertex) {
   // A graph without any keyword: the domain is empty and nothing matches.
   const Graph bare = testing::MakeGraph(65, {{0, 1}, {1, 64}});
   ASSERT_EQ(bare.KeywordDomainBound(), 0u);
-  match.Fill(bare, std::vector<KeywordId>{0, 3});
+  match.Fill(bare, std::vector<KeywordId>{0, 3}, 2);
   for (VertexId v = 0; v < bare.NumVertices(); ++v) {
+    EXPECT_FALSE(match.Holds(v)) << "vertex " << v;
     EXPECT_FALSE(match.Contains(v)) << "vertex " << v;
   }
 }
@@ -165,15 +174,95 @@ TEST(KeywordMatchTest, MembershipWithKeywordIdsUpToTheLargest) {
   KeywordMatch match;
   std::uint64_t matched = 0;
   for (const std::vector<KeywordId>& q : queries) {
-    match.Fill(g, q);
+    match.Fill(g, q, 2);
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       const bool want = HopExtractor::HasAnyKeyword(g, v, q);
-      ASSERT_EQ(match.Contains(v), want)
+      ASSERT_EQ(match.Holds(v), want)
           << "|Q|=" << q.size() << " Q[0]=" << q[0] << " vertex " << v;
       matched += want;
     }
   }
   EXPECT_GT(matched, 0u);
+}
+
+TEST(KeywordMatchTest, CoreEqualsTheReferencePeel) {
+  // Ids straddle bitmap words, so the peel's ranks cross word boundaries.
+  // Keyword 1 is the query keyword; keyword 9 is held by no vertex.
+  constexpr std::size_t kN = 140;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<std::vector<KeywordId>> keywords(kN);
+  const auto hold = [&](std::initializer_list<VertexId> vs) {
+    for (const VertexId v : vs) keywords[v] = {1};
+  };
+  // K5 on {60, …, 64} with a pendant 65: every member keeps 4 neighbours.
+  for (VertexId u = 60; u < 65; ++u) {
+    for (VertexId v = u + 1; v < 65; ++v) edges.emplace_back(u, v);
+  }
+  edges.emplace_back(64, 65);
+  hold({60, 61, 62, 63, 64, 65});
+  // A triangle {100, 101, 102} with two tails, which bound 2 unravels from
+  // their loose ends up to the triangle. The ids of 102-5-130-7 jump back
+  // and forth, so a removal reaches members the forward pass has not counted
+  // yet, and 5 leaves after it passed its count. 101-31-32-33-34-135 is
+  // counted from the triangle outward: every member passes its count until
+  // 135, and only cascaded removals, which read adjacency again, take the
+  // rest apart. The keyword-less hub 0 touches the first tail and never
+  // counts.
+  edges.insert(edges.end(), {{100, 101}, {100, 102}, {101, 102}, {5, 102},
+                             {5, 130}, {7, 130}, {0, 5}, {0, 7}, {0, 130},
+                             {31, 101}, {31, 32}, {32, 33}, {33, 34}, {34, 135}});
+  hold({100, 101, 102, 5, 130, 7, 31, 32, 33, 34, 135});
+  // K4 on {20, 21, 22, 23}, where 23 holds only an unqueried keyword: G[Q]
+  // keeps a triangle of it.
+  for (VertexId u = 20; u < 24; ++u) {
+    for (VertexId v = u + 1; v < 24; ++v) edges.emplace_back(u, v);
+  }
+  hold({20, 21, 22});
+  keywords[23] = {2};
+  // A keyword holder with no keyword neighbour.
+  edges.emplace_back(120, 121);
+  hold({120});
+  const Graph g = testing::MakeKeywordGraph(kN, edges, keywords);
+
+  KeywordMatch match;
+  const auto core_of = [&](const std::vector<KeywordId>& q, std::uint32_t k) {
+    match.Fill(g, q, k);
+    EXPECT_EQ(match.degree_bound(), std::max<std::uint32_t>(k, 2) - 1);
+    const std::vector<char> want = ReferenceKeywordCore(g, q, k);
+    std::vector<VertexId> members;
+    for (VertexId v = 0; v < kN; ++v) {
+      EXPECT_EQ(match.Contains(v), want[v] != 0) << "k=" << k << " vertex " << v;
+      if (match.Contains(v)) {
+        EXPECT_TRUE(match.Holds(v)) << "k=" << k << " vertex " << v;
+        members.push_back(v);
+      }
+    }
+    std::vector<VertexId> listed;
+    match.ForEachInCore([&](VertexId v) { listed.push_back(v); });
+    EXPECT_EQ(listed, members) << "k=" << k;
+    return members;
+  };
+  using Members = std::vector<VertexId>;
+  for (const std::vector<KeywordId>& q : {std::vector<KeywordId>{1},
+                                          std::vector<KeywordId>{1, 9}}) {
+    // Bound 1: every holder with a holder neighbour, the tail included.
+    EXPECT_EQ(core_of(q, 2), (Members{5, 7, 20, 21, 22, 31, 32, 33, 34, 60, 61,
+                                      62, 63, 64, 65, 100, 101, 102, 130, 135}));
+    // Bound 2: the peel eats both tails; the pendant goes.
+    EXPECT_EQ(core_of(q, 3),
+              (Members{20, 21, 22, 60, 61, 62, 63, 64, 100, 101, 102}));
+    // Bounds 3 and 4: only the K5 survives, whole.
+    EXPECT_EQ(core_of(q, 4), (Members{60, 61, 62, 63, 64}));
+    EXPECT_EQ(core_of(q, 5), (Members{60, 61, 62, 63, 64}));
+    // Bound 5: the empty core.
+    EXPECT_EQ(core_of(q, 6), Members{});
+  }
+  // A query keyword that no vertex holds fills nothing.
+  for (std::uint32_t k = 2; k <= 6; ++k) {
+    EXPECT_EQ(core_of({9}, k), Members{}) << "k=" << k;
+  }
+  // A refill at a lower k after a higher one starts from scratch.
+  EXPECT_EQ(core_of({1}, 2).size(), 20u);
 }
 
 // Vertices carry even keyword ids below 40 only (every sixth carries none),
@@ -197,8 +286,9 @@ Graph MakeEvenKeywordGraph() {
 }
 
 // Every posting list of g equals the vertices holding its keyword, and a
-// KeywordMatch filled from them agrees with HasAnyKeyword on every vertex.
-// Returns the number of (query, vertex) matches.
+// KeywordMatch filled from them agrees with HasAnyKeyword (Holds) and with
+// the brute-force core at k = 2..6 (Contains) on every vertex. Returns the
+// number of (query, k, vertex) core members.
 std::uint64_t ExpectPostingsAndMatchAgree(const Graph& g,
                                           const std::string& label) {
   std::vector<std::vector<KeywordId>> queries = {
@@ -217,12 +307,17 @@ std::uint64_t ExpectPostingsAndMatchAgree(const Graph& g,
       EXPECT_EQ(std::vector<VertexId>(postings.begin(), postings.end()), holders)
           << label << " keyword " << w;
     }
-    match.Fill(g, q);
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      const bool want = HopExtractor::HasAnyKeyword(g, v, q);
-      EXPECT_EQ(match.Contains(v), want)
-          << label << " Q[0]=" << q[0] << " |Q|=" << q.size() << " vertex " << v;
-      matched += want;
+    for (std::uint32_t k = 2; k <= 6; ++k) {
+      match.Fill(g, q, k);
+      const std::vector<char> core = ReferenceKeywordCore(g, q, k);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        EXPECT_EQ(match.Holds(v), HopExtractor::HasAnyKeyword(g, v, q))
+            << label << " Q[0]=" << q[0] << " |Q|=" << q.size() << " vertex " << v;
+        EXPECT_EQ(match.Contains(v), core[v] != 0)
+            << label << " Q[0]=" << q[0] << " |Q|=" << q.size() << " k=" << k
+            << " vertex " << v;
+        matched += core[v];
+      }
     }
   }
   return matched;
@@ -290,47 +385,68 @@ TEST(KeywordMatchTest, PostingsAgreeWhereverTheGraphComesFrom) {
   EXPECT_GT(ExpectPostingsAndMatchAgree(assigned, "move-assigned"), 0u);
 }
 
-TEST(KeywordMatchTest, MatchingExtractionEqualsKeywordListExtraction) {
+TEST(KeywordMatchTest, MatchingExtractionWalksTheKeywordCore) {
   const Graph g = MakeSmallWorldGraph(5, 12, 2);
-  HopExtractor by_list(g);
   HopExtractor by_bitmap(g);
   SeedCommunityExtractor incremental(g);
   SeedCommunityExtractor reference(g);
   KeywordMatch match;
   std::uint64_t balls = 0;
+  std::uint64_t trimmed = 0;  // balls the core made smaller
   for (const std::vector<KeywordId>& keywords :
        {std::vector<KeywordId>{0}, std::vector<KeywordId>{1, 4, 7},
         std::vector<KeywordId>{2, 3, 5, 6, 8, 9, 10, 11}}) {
-    match.Fill(g, keywords);
-    for (std::uint32_t r = 1; r <= 3; ++r) {
-      const Query q = MakeQuery(keywords, 3, r, 1);
+    for (std::uint32_t k = 2; k <= 4; ++k) {
+      match.Fill(g, keywords, k);
+      // The same graph with every keyword of the vertices outside the core
+      // removed: same adjacency and edge ids, and its query-keyword holders
+      // are exactly the core.
+      const std::vector<char> core = ReferenceKeywordCore(g, keywords, k);
+      GraphDelta strip;
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        const std::string label = "|Q|=" + std::to_string(keywords.size()) +
-                                  " r=" + std::to_string(r) + " center " +
-                                  std::to_string(v);
-        LocalGraph got;
-        LocalGraph want;
-        const bool got_ok = by_bitmap.ExtractMatching(v, r, match, &got);
-        const bool want_ok = by_list.Extract(v, r, keywords, &want);
-        ASSERT_EQ(got_ok, want_ok) << label;
-        ExpectSameBall(got, want, label);
-        balls += got_ok;
+        if (core[v]) continue;
+        for (const KeywordId w : g.Keywords(v)) strip.RemoveKeyword(v, w);
+      }
+      Result<Graph> stripped = ApplyDelta(g, strip);
+      ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
+      HopExtractor by_list(*stripped);
+      HopExtractor unstripped(g);
+      for (std::uint32_t r = 1; r <= 3; ++r) {
+        const Query q = MakeQuery(keywords, k, r, 1);
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          const std::string label = "|Q|=" + std::to_string(keywords.size()) +
+                                    " k=" + std::to_string(k) +
+                                    " r=" + std::to_string(r) + " center " +
+                                    std::to_string(v);
+          LocalGraph got;
+          LocalGraph want;
+          const bool got_ok = by_bitmap.ExtractMatching(v, r, match, &got);
+          const bool want_ok = by_list.Extract(v, r, keywords, &want);
+          ASSERT_EQ(got_ok, want_ok) << label;
+          ExpectSameBall(got, want, label);
+          balls += got_ok;
+          LocalGraph whole;
+          if (unstripped.Extract(v, r, keywords, &whole)) {
+            trimmed += whole.NumVertices() > got.NumVertices();
+          }
 
-        // The seed community built on the bitmap equals the reference
-        // pipeline's, which tests keyword lists throughout.
-        SeedCommunity got_c;
-        SeedCommunity want_c;
-        const bool got_c_ok = incremental.Extract(
-            v, q, SeedCommunityExtractor::Mode::kIncremental, &got_c, &match);
-        const bool want_c_ok = reference.Extract(
-            v, q, SeedCommunityExtractor::Mode::kReference, &want_c);
-        ASSERT_EQ(got_c_ok, want_c_ok) << label;
-        EXPECT_EQ(got_c.vertices, want_c.vertices) << label;
-        EXPECT_EQ(got_c.edges, want_c.edges) << label;
+          // The seed community built on the core equals the reference
+          // pipeline's, which tests keyword lists over the whole ball.
+          SeedCommunity got_c;
+          SeedCommunity want_c;
+          const bool got_c_ok = incremental.Extract(
+              v, q, SeedCommunityExtractor::Mode::kIncremental, &got_c, &match);
+          const bool want_c_ok = reference.Extract(
+              v, q, SeedCommunityExtractor::Mode::kReference, &want_c);
+          ASSERT_EQ(got_c_ok, want_c_ok) << label;
+          EXPECT_EQ(got_c.vertices, want_c.vertices) << label;
+          EXPECT_EQ(got_c.edges, want_c.edges) << label;
+        }
       }
     }
   }
   EXPECT_GT(balls, 0u);
+  EXPECT_GT(trimmed, 0u);
 }
 
 TEST(KeywordMatchTest, ReusedDetectorAcrossDisjointQueriesMatchesFresh) {

@@ -8,6 +8,9 @@
 //  - the ego-network peel, which drops keyword-carrying neighbours with
 //    fewer than k−2 partners among the others until none is dropped, and
 //    rejects the center when fewer than k−1 survive.
+//  - the keyword core (KeywordMatch), which keeps the plan stage out of
+//    every index subtree and away from every center outside the
+//    (k−1)-core of the keyword holders' subgraph.
 // Planted-clique graphs make every center of a clique yield the same
 // community (memo hits); keyword-sparse graphs make most centers fail a
 // precheck; hand-built ego networks pin the peel's edge cases. Answers must
@@ -101,10 +104,13 @@ std::string Label(const Query& q) {
 
 // The DTopL oracle: greedy selection over the brute-force top-(nL) pool.
 void ExpectDTopLMatchesOracle(const Graph& g, DTopLDetector& detector,
-                              const Query& q, const std::string& label) {
+                              const Query& q, const std::string& label,
+                              const SearchControl& control = {},
+                              const QueryOptions& topl_options = {}) {
   DTopLOptions options;
   options.n_factor = 3;
-  Result<DTopLResult> got = detector.Search(q, options);
+  options.topl_options = topl_options;
+  Result<DTopLResult> got = detector.Search(q, options, control);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   Result<std::vector<CommunityResult>> all = EnumerateAllCommunities(g, q);
   ASSERT_TRUE(all.ok());
@@ -230,31 +236,46 @@ Graph MakeEgoNetwork(std::size_t size,
       size + 1, edges, std::vector<std::vector<KeywordId>>(size + 1, {0}));
 }
 
-// Extracts vertex 0's community both ways and checks that they agree.
-// Returns whether the incremental path rejected the center in a precheck.
+// Extracts vertex 0's community three ways and checks that they agree: the
+// incremental path over keyword lists (F ⊆ M, the keyword holders), the
+// incremental path over the query's keyword core (F ⊆ C), and the reference
+// path. Returns whether the keyword-list path rejected the center in a
+// precheck, so the prechecks are tested on the whole of M. The core path
+// rejects whatever the list path rejects: C ⊆ M, and both prechecks keep
+// fewer members of a smaller F.
 bool PrecheckRejectsCenter(const Graph& g, std::uint32_t k,
                            const std::string& label) {
-  SeedCommunityExtractor incremental(g);
+  SeedCommunityExtractor by_list(g);
+  SeedCommunityExtractor by_core(g);
   SeedCommunityExtractor reference(g);
   KeywordMatch match;
   bool rejected = false;
   for (std::uint32_t r = 1; r <= 2; ++r) {
     const Query q = MakeQuery({0}, k, r, 0.1, 1);
-    match.Fill(g, q.keywords);
-    SeedCommunity got;
+    match.Fill(g, q.keywords, q.k);
+    SeedCommunity listed;
+    SeedCommunity cored;
     SeedCommunity want;
-    const bool got_ok = incremental.Extract(
-        0, q, SeedCommunityExtractor::Mode::kIncremental, &got, &match);
+    const bool listed_ok = by_list.Extract(
+        0, q, SeedCommunityExtractor::Mode::kIncremental, &listed);
+    const bool cored_ok = by_core.Extract(
+        0, q, SeedCommunityExtractor::Mode::kIncremental, &cored, &match);
     const bool want_ok =
         reference.Extract(0, q, SeedCommunityExtractor::Mode::kReference, &want);
-    EXPECT_EQ(got_ok, want_ok) << label << " r=" << r;
-    EXPECT_EQ(got.vertices, want.vertices) << label << " r=" << r;
-    EXPECT_EQ(got.edges, want.edges) << label << " r=" << r;
+    EXPECT_EQ(listed_ok, want_ok) << label << " r=" << r;
+    EXPECT_EQ(cored_ok, want_ok) << label << " r=" << r;
+    EXPECT_EQ(listed.vertices, want.vertices) << label << " r=" << r;
+    EXPECT_EQ(cored.vertices, want.vertices) << label << " r=" << r;
+    EXPECT_EQ(listed.edges, want.edges) << label << " r=" << r;
+    EXPECT_EQ(cored.edges, want.edges) << label << " r=" << r;
     EXPECT_FALSE(reference.last_precheck_rejected()) << label;
+    if (by_list.last_precheck_rejected()) {
+      EXPECT_TRUE(by_core.last_precheck_rejected()) << label << " r=" << r;
+    }
     if (r == 1) {
-      rejected = incremental.last_precheck_rejected();
+      rejected = by_list.last_precheck_rejected();
     } else {
-      EXPECT_EQ(incremental.last_precheck_rejected(), rejected) << label;
+      EXPECT_EQ(by_list.last_precheck_rejected(), rejected) << label;
     }
   }
   return rejected;
@@ -348,8 +369,8 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
     SeedCommunityExtractor with_list(g);
     SeedCommunityExtractor reference(g);
     KeywordMatch match;
-    match.Fill(g, keywords);
     for (std::uint32_t k = 3; k <= 5; ++k) {
+      match.Fill(g, keywords, k);
       for (std::uint32_t r = 1; r <= 2; ++r) {
         const Query q = MakeQuery(keywords, k, r, 0.1, 4);
         const std::string label =
@@ -370,14 +391,17 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
           EXPECT_EQ(a.vertices, want.vertices) << label << " center " << v;
           EXPECT_EQ(b.vertices, want.vertices) << label << " center " << v;
           EXPECT_EQ(a.edges, want.edges) << label << " center " << v;
-          EXPECT_EQ(with_match.last_precheck_rejected(),
-                    with_list.last_precheck_rejected())
-              << label << " center " << v;
+          // The core only drops vertices no community holds, so the core
+          // path rejects every center the keyword-list path rejects.
+          if (with_list.last_precheck_rejected()) {
+            EXPECT_TRUE(with_match.last_precheck_rejected())
+                << label << " center " << v;
+          }
           // A center with ≥ k−1 keyword neighbours that the peel rejects.
-          if (with_match.last_precheck_rejected() && match.Contains(v)) {
+          if (with_list.last_precheck_rejected() && match.Holds(v)) {
             std::uint32_t keyword_neighbours = 0;
             for (const Graph::Arc& arc : g.Neighbors(v)) {
-              keyword_neighbours += match.Contains(arc.to);
+              keyword_neighbours += match.Holds(arc.to);
             }
             peel_only_rejects += keyword_neighbours + 1 >= k;
           }
@@ -406,31 +430,227 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
 }
 
 TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
-  // On the keyword-sparse graph most refined candidates fail a precheck;
-  // the counter sees them, sequentially and on the pool, and the engine-wide
-  // sum folds them in like every other counter.
+  // On the keyword-sparse graph most keyword-holding centers fail a precheck
+  // when the extractor is called on them directly. The detector no longer
+  // hands those outside the query's keyword core to the extractor: its plan
+  // stage prunes them, so they land in pruned_keyword, and the counters still
+  // account for every vertex, sequentially and on the pool. The engine-wide
+  // sum folds the counters like every other.
   const Graph g = MakeKeywordSparse(1);
+  const std::size_t n = g.NumVertices();
   const BuiltIndex built = BuildIndexFor(g);
   TopLDetector detector(g, built.pre(), built.tree);
   ThreadPool pool(4);
   SearchControl control;
   control.pool = &pool;
   control.chunk_size = 2;
+  // Keyword pruning alone: the plan stage visits every vertex, so it refines
+  // exactly the core.
+  QueryOptions keyword_only;
+  keyword_only.use_support_pruning = false;
+  keyword_only.use_score_pruning = false;
   QueryStats total;
   for (std::uint32_t k = 3; k <= 5; ++k) {
     const Query q = MakeQuery({0, 1, 2, 3}, k, 2, 0.0, 4);
+    KeywordMatch match;
+    match.Fill(g, q.keywords, q.k);
+    SeedCommunityExtractor by_list(g);
+    SeedCommunityExtractor by_core(g);
+    std::uint64_t core_size = 0;
+    std::uint64_t core_rejects = 0;      // core centers the extractor rejects
+    std::uint64_t outside_rejects = 0;   // list rejects outside the core
+    for (VertexId v = 0; v < n; ++v) {
+      SeedCommunity community;
+      by_list.Extract(v, q, SeedCommunityExtractor::Mode::kIncremental,
+                      &community);
+      outside_rejects += by_list.last_precheck_rejected() && !match.Contains(v);
+      if (!match.Contains(v)) continue;
+      ++core_size;
+      by_core.Extract(v, q, SeedCommunityExtractor::Mode::kIncremental,
+                      &community, &match);
+      core_rejects += by_core.last_precheck_rejected();
+    }
+    EXPECT_GT(outside_rejects, 0u) << Label(q);
     for (const bool parallel : {false, true}) {
-      Result<TopLResult> got =
-          parallel ? detector.Search(q, QueryOptions(), control) : detector.Search(q);
+      const std::string label = Label(q) + (parallel ? " pooled" : "");
+      Result<TopLResult> got = parallel
+                                   ? detector.Search(q, keyword_only, control)
+                                   : detector.Search(q, keyword_only);
       ASSERT_TRUE(got.ok());
-      EXPECT_GT(got->stats.precheck_rejected, 0u) << Label(q);
+      EXPECT_EQ(got->stats.pruned_keyword, n - core_size) << label;
+      EXPECT_EQ(got->stats.candidates_refined, core_size) << label;
+      EXPECT_EQ(got->stats.precheck_rejected, core_rejects) << label;
+      EXPECT_EQ(got->stats.TotalPruned() + got->stats.candidates_refined, n)
+          << label;
+      total += got->stats;
+
+      // Every pruning rule on: the refined candidates are a subset of the
+      // core, and the sequential accounting still closes.
+      got = parallel ? detector.Search(q, QueryOptions(), control)
+                     : detector.Search(q);
+      ASSERT_TRUE(got.ok());
+      EXPECT_LE(got->stats.candidates_refined, core_size) << label;
+      EXPECT_LE(got->stats.precheck_rejected, core_rejects) << label;
       EXPECT_LE(got->stats.precheck_rejected + got->stats.communities_found,
                 got->stats.candidates_refined)
-          << Label(q);
+          << label;
+      if (!parallel) {
+        EXPECT_EQ(got->stats.TotalPruned() + got->stats.candidates_refined, n)
+            << label;
+      }
       total += got->stats;
     }
   }
-  EXPECT_GT(total.precheck_rejected, 0u);
+  EXPECT_GT(total.pruned_keyword, 0u);
+  EXPECT_GT(total.candidates_refined, 0u);
+}
+
+// Cliques of the query keywords {0, 1}, each with its own edge probability,
+// chained by bridge edges and trailed by keyword-5 followers, plus a long
+// path of query-keyword holders hanging off the first clique. The path's
+// vertices hold keywords but lie in no (k−1)-core for k ≥ 3, and their low
+// precomputed bounds sort them together, so with small leaves they fill
+// whole subtrees of the index.
+Graph MakeCliquesWithKeywordPath() {
+  const std::vector<std::uint32_t> sizes = {5, 6, 7, 5};
+  const std::vector<double> probs = {0.6, 0.5, 0.4, 0.45};
+  constexpr std::uint32_t kPath = 48;
+  constexpr std::uint32_t kFollowers = 4;
+  std::size_t n = kPath;
+  for (const std::uint32_t size : sizes) n += size + kFollowers;
+  GraphBuilder b(n);
+  VertexId next = 0;
+  VertexId previous_first = kInvalidVertex;
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    const VertexId first = next;
+    for (VertexId u = first; u < first + sizes[c]; ++u) {
+      for (VertexId v = u + 1; v < first + sizes[c]; ++v) b.AddEdge(u, v, probs[c]);
+      b.AddKeyword(u, static_cast<KeywordId>(u % 2));
+    }
+    next += sizes[c];
+    for (std::uint32_t f = 0; f < kFollowers; ++f, ++next) {
+      b.AddEdge(first + f, next, 0.7);
+      b.AddKeyword(next, 5);
+    }
+    if (previous_first != kInvalidVertex) b.AddEdge(previous_first, first, 0.3);
+    previous_first = first;
+  }
+  VertexId tail = 0;
+  for (std::uint32_t p = 0; p < kPath; ++p, ++next) {
+    b.AddEdge(tail, next, 0.3);
+    b.AddKeyword(next, static_cast<KeywordId>(p % 2));
+    tail = next;
+  }
+  Result<Graph> g = std::move(b).Build();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+TEST(RefineShortcutTest, DescentSkipsSubtreesWithoutCoreVertices) {
+  const Graph g = MakeCliquesWithKeywordPath();
+  const std::size_t n = g.NumVertices();
+  TreeIndexOptions shape;
+  shape.fanout = 2;
+  shape.leaf_capacity = 4;
+  const BuiltIndex built = BuildIndexFor(g, PrecomputeOptions(), shape);
+  const TreeIndex& tree = built.tree;
+  TopLDetector detector(g, built.pre(), tree);
+  DTopLDetector dtopl(g, built.pre(), tree);
+  ThreadPool pool(4);
+  QueryOptions keyword_only;
+  keyword_only.use_support_pruning = false;
+  keyword_only.use_score_pruning = false;
+  std::uint64_t found = 0;
+  for (std::uint32_t k = 3; k <= 5; ++k) {
+    for (std::uint32_t r = 1; r <= 2; ++r) {
+      const Query q = MakeQuery({0, 1}, k, r, 0.1, 3);
+      const std::string label = Label(q);
+      const std::vector<char> core = testing::ReferenceKeywordCore(g, q.keywords, k);
+      std::uint64_t core_size = 0;
+      for (const char in_core : core) core_size += in_core;
+
+      // Which subtrees hold a keyword holder, and which a core vertex.
+      // Children precede their parents in the arena.
+      std::vector<char> holds_keyword(tree.NumNodes(), 0);
+      std::vector<char> holds_core(tree.NumNodes(), 0);
+      for (std::uint32_t id = 0; id < tree.NumNodes(); ++id) {
+        const TreeIndex::Node& node = tree.node(id);
+        if (node.is_leaf) {
+          for (const VertexId v : tree.LeafVertices(node)) {
+            holds_keyword[id] |= HopExtractor::HasAnyKeyword(g, v, q.keywords);
+            holds_core[id] |= core[v];
+          }
+        } else {
+          for (std::uint32_t c = 0; c < node.num_children; ++c) {
+            holds_keyword[id] |= holds_keyword[node.first_child + c];
+            holds_core[id] |= holds_core[node.first_child + c];
+          }
+        }
+      }
+      std::uint64_t keyword_only_subtrees = 0;
+      std::uint64_t core_subtrees = 0;
+      for (std::uint32_t id = 0; id < tree.NumNodes(); ++id) {
+        if (id == tree.root()) continue;
+        keyword_only_subtrees += holds_keyword[id] && !holds_core[id];
+        core_subtrees += holds_core[id];
+      }
+      ASSERT_GT(keyword_only_subtrees, 0u) << label;
+
+      // With keyword pruning alone the descent enters exactly the subtrees
+      // that hold a core vertex: a subtree of keyword holders outside the
+      // core passes the signature test but is skipped, and its vertices count
+      // as pruned_keyword.
+      for (const bool parallel : {false, true}) {
+        SearchControl control;
+        if (parallel) {
+          control.pool = &pool;
+          control.chunk_size = 2;
+        }
+        const std::string run = label + (parallel ? " pooled" : "");
+        Result<TopLResult> exhaustive = detector.Search(q, keyword_only, control);
+        ASSERT_TRUE(exhaustive.ok());
+        EXPECT_EQ(exhaustive->stats.index_nodes_visited, 1 + core_subtrees) << run;
+        EXPECT_EQ(exhaustive->stats.pruned_keyword, n - core_size) << run;
+        EXPECT_EQ(exhaustive->stats.candidates_refined, core_size) << run;
+        EXPECT_EQ(exhaustive->stats.TotalPruned() +
+                      exhaustive->stats.candidates_refined,
+                  n)
+            << run;
+
+        // Answers against brute force: TopL, DTopL and progressive (both
+        // kinds), with every rule on and with keyword pruning alone.
+        Result<TopLResult> want = BruteForceTopL(g, q);
+        ASSERT_TRUE(want.ok());
+        ExpectIdentical(exhaustive->communities, want->communities, run.c_str());
+        found += want->communities.size();
+        Result<TopLResult> all = detector.Search(q, QueryOptions(), control);
+        ASSERT_TRUE(all.ok());
+        ExpectIdentical(all->communities, want->communities, run.c_str());
+        if (!parallel) {
+          EXPECT_EQ(all->stats.TotalPruned() + all->stats.candidates_refined, n)
+              << run;
+        }
+        SearchControl progressive = control;
+        std::uint64_t updates = 0;
+        progressive.on_progress = [&updates](const ProgressiveUpdate&) {
+          ++updates;
+          return true;
+        };
+        Result<TopLResult> streamed = detector.Search(q, QueryOptions(), progressive);
+        ASSERT_TRUE(streamed.ok());
+        EXPECT_FALSE(streamed->truncated) << run;
+        ExpectIdentical(streamed->communities, want->communities,
+                        ("progressive " + run).c_str());
+        EXPECT_GT(updates, 0u) << run;
+        for (const QueryOptions& options : {QueryOptions(), keyword_only}) {
+          ExpectDTopLMatchesOracle(g, dtopl, q, run, control, options);
+          ExpectDTopLMatchesOracle(g, dtopl, q, "progressive " + run, progressive,
+                                   options);
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
 }
 
 TEST(RefineShortcutTest, ReusedDetectorMatchesFreshDetectorAcrossTheta) {

@@ -110,6 +110,33 @@ inline std::vector<std::uint32_t> ReferenceSupports(const Graph& g) {
   return support;
 }
 
+/// The query's keyword core by its definition: starting from the vertices
+/// that hold a keyword of Q, drop every vertex with fewer than max(k, 2)−1
+/// neighbours left, and repeat over the whole graph until nothing is dropped.
+/// O(rounds · m); independent of KeywordMatch's one-pass peel.
+inline std::vector<char> ReferenceKeywordCore(const Graph& g,
+                                              const std::vector<KeywordId>& query,
+                                              std::uint32_t k) {
+  const std::uint32_t bound = std::max<std::uint32_t>(k, 2) - 1;
+  std::vector<char> alive(g.NumVertices(), 0);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (const KeywordId w : query) alive[v] |= g.HasKeyword(v, w) ? 1 : 0;
+  }
+  for (bool dropped = true; dropped;) {
+    dropped = false;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (!alive[v]) continue;
+      std::uint32_t degree = 0;
+      for (const Graph::Arc& arc : g.Neighbors(v)) degree += alive[arc.to];
+      if (degree < bound) {
+        alive[v] = 0;
+        dropped = true;
+      }
+    }
+  }
+  return alive;
+}
+
 /// Exhaustive upp(u, v) by enumerating every simple path (exponential; tiny
 /// graphs only). Returns 0 when v is unreachable.
 inline double ReferenceUpp(const Graph& g, VertexId source, VertexId target) {
