@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "graph/local_subgraph.h"
-#include "keywords/bit_vector.h"
 
 namespace topl {
 
@@ -352,12 +351,9 @@ void QueryCache::OnUpdate(std::span<const VertexId> dirty_centers,
         const std::uint32_t required_support =
             it->key.k >= 2 ? it->key.k - 2 : 0;
         const int z = pre.ThresholdIndex(it->key.theta());
-        const BitVector query_bv =
-            BitVector::FromKeywords(it->key.keywords, pre.signature_bits());
         for (VertexId d : dirty_centers) {
-          if (!pre.SignatureIntersects(d, r, query_bv) ||
-              !HopExtractor::HasAnyKeyword(graph, d, it->key.keywords)) {
-            continue;  // Lemma 1/5: no qualifying community at d
+          if (!HopExtractor::HasAnyKeyword(graph, d, it->key.keywords)) {
+            continue;  // Lemma 1: d carries no query keyword
           }
           if (pre.SupportBound(d, r) < required_support ||
               pre.CenterTrussBound(d) < it->key.k) {

@@ -86,11 +86,11 @@ struct CacheKeyHash {
 ///      influence by PR 4's dirty-region contract), AND
 ///   2. no dirty center could *newly* enter the answer: every dirty center
 ///      fails at least one of the detector's own admission tests against the
-///      new snapshot — keyword (ball-signature intersection + center keyword
-///      membership), support (ball support ≥ k−2 and center trussness ≥ k),
-///      or score (ScoreBound < the entry's floor, mirroring the detector's
-///      strict-< pruning; only usable when the answer/pool is full and the
-///      query's theta is on the precompute grid).
+///      new snapshot — keyword (the center holds a query keyword), support
+///      (ball support ≥ k−2 and center trussness ≥ k), or score (ScoreBound
+///      < the entry's floor, mirroring the detector's strict-< pruning; only
+///      usable when the answer/pool is full and the query's theta is on the
+///      precompute grid).
 /// Surviving entries are rebased to the new epoch in place — an epoch bump
 /// alone never flushes clean entries. Everything else is erased and counted
 /// in `invalidated`.

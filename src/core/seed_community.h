@@ -2,7 +2,6 @@
 #define TOPL_CORE_SEED_COMMUNITY_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -75,25 +74,17 @@ class SeedCommunityExtractor {
   }
 
   /// Extract with an explicit pipeline choice (benchmarks, equivalence
-  /// sweeps, and brute force, which runs kReference). kIncremental runs two
-  /// exact prechecks on the center's keyword-carrying neighbours F before
-  /// building its ball, and rejects the center when either fails:
-  ///  1. center degree: |F| ≥ k−1;
-  ///  2. ego-network peel: after repeatedly dropping every u ∈ F with fewer
-  ///     than k−2 neighbours left in F, at least k−1 members survive.
-  /// Neither ever rejects a center that has a community (README, "Design
-  /// notes"). kReference always runs the full pipeline, so brute force
-  /// checks both.
+  /// sweeps, and brute force, which runs kReference).
   ///
   /// `match`, if given, must be filled from query.keywords (non-empty) at a
   /// k no larger than query.k. kIncremental then admits a vertex to the
-  /// prechecks' F and to the ball's BFS only when it lies in the match's
-  /// keyword core C, one bit per vertex instead of a keyword-list merge. The
-  /// BFS then walks only core vertices, and the answer is the same: every
-  /// community lies in C, and the fixpoint over the smaller ball reaches the
-  /// same maximal community (README, "Design notes"). The detector's hot
-  /// path passes it. kReference ignores it and keeps the keyword-list test
-  /// over the whole ball, so brute force checks the core too.
+  /// ball's BFS only when it lies in the match's keyword core C, one bit per
+  /// vertex instead of a keyword-list merge. The BFS then walks only core
+  /// vertices, and the answer is the same: every community lies in C, and
+  /// the fixpoint over the smaller ball reaches the same maximal community
+  /// (README, "Design notes"). The detector's hot path passes it. kReference
+  /// ignores it and keeps the keyword-list test over the whole ball, so
+  /// brute force checks the core too.
   bool Extract(VertexId center, const Query& query, Mode mode,
                SeedCommunity* out, const KeywordMatch* match = nullptr);
 
@@ -107,19 +98,11 @@ class SeedCommunityExtractor {
   bool Verify(const LocalGraph& ball, const Query& query, Mode mode,
               SeedCommunity* out);
 
-  /// The number of local-subgraph edges inspected by the last Extract call
-  /// (cost introspection for benchmarks).
-  std::size_t last_subgraph_edges() const { return last_subgraph_edges_; }
-
   /// Alive triangles the substrate enumerated during the last Extract call
   /// (0 on the reference path, which does not meter its intersections).
   std::uint64_t last_triangles_inspected() const {
     return last_triangles_inspected_;
   }
-
-  /// True when the last Extract call rejected its center in one of the
-  /// kIncremental prechecks, before building a ball.
-  bool last_precheck_rejected() const { return last_precheck_rejected_; }
 
   /// Fixpoint rounds of the last Extract call whose bulk kills were absorbed
   /// by incremental support decrements — each one a full from-scratch
@@ -136,13 +119,6 @@ class SeedCommunityExtractor {
   /// doomed edges leave `support_` (incremental decrements vs recompute).
   bool CollectOutOfRadius(const LocalGraph& ball, std::uint32_t radius);
 
-  /// The kIncremental prechecks (center degree, then the ego-network peel)
-  /// over the center's neighbours that `keep` admits. False rejects the
-  /// center. O(Σ_{u∈F} deg u); allocates nothing after warm-up.
-  template <typename Keep>
-  bool EgoNetworkAdmits(VertexId center, std::uint32_t k, Keep keep);
-
-  const Graph* graph_;
   HopExtractor hop_;
   LocalGraph lg_;
   TriangleSubstrate substrate_;
@@ -153,15 +129,6 @@ class SeedCommunityExtractor {
   std::vector<std::uint32_t> local_dist_;
   std::vector<std::uint32_t> bfs_queue_;
   std::vector<std::uint32_t> doomed_;
-  // Ego-network peel scratch: F, partner counts, partner pairs and their
-  // CSR (the peel queue reuses bfs_queue_).
-  std::vector<VertexId> ego_;
-  std::vector<std::uint32_t> ego_partners_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ego_pairs_;
-  std::vector<std::size_t> ego_offsets_;
-  std::vector<std::uint32_t> ego_adjacent_;
-  bool last_precheck_rejected_ = false;
-  std::size_t last_subgraph_edges_ = 0;
   std::uint64_t last_triangles_inspected_ = 0;
   std::uint64_t last_support_recomputes_avoided_ = 0;
 };

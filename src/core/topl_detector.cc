@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "graph/local_subgraph.h"
-#include "keywords/bit_vector.h"
 
 namespace topl {
 
@@ -96,9 +95,9 @@ class TopLCollector {
 // Keyword pruning reads the query's keyword core C (KeywordMatch), which
 // holds every community's members: a child whose subtree holds no vertex of
 // C is skipped, and so is a leaf vertex outside C. The core is filled once
-// per query, at the first child that passes the precomputed signature,
-// support, truss and score tests (or at the first leaf popped), so a query
-// those tests prune near the root never pays for it.
+// per query, at the first child that passes the precomputed support, truss
+// and score tests (or at the first leaf popped), so a query those tests
+// prune near the root never pays for it.
 //
 // Every threshold comparison is *strict* (< rather than ≤): a candidate
 // whose upper bound ties the current σ_L could still displace the collector's
@@ -110,8 +109,7 @@ class PlanCursor {
  public:
   PlanCursor(const Graph& g, const PrecomputedData& pre, const TreeIndex& tree,
              const Query& query, const QueryOptions& options, int z,
-             const BitVector& query_bv, KeywordMatch* match,
-             std::vector<std::uint8_t>* core_subtrees)
+             KeywordMatch* match, std::vector<std::uint8_t>* core_subtrees)
       : graph_(&g),
         pre_(&pre),
         tree_(&tree),
@@ -120,7 +118,6 @@ class PlanCursor {
         z_(z),
         score_pruning_(options.use_score_pruning && z >= 0),
         required_support_(query.k >= 2 ? query.k - 2 : 0),
-        query_bv_(&query_bv),
         match_(match),
         core_subtrees_(core_subtrees) {
     heap_.emplace(NodeKey(tree.root()), tree.root());
@@ -167,17 +164,10 @@ class PlanCursor {
           // Candidate-level pruning (Lemmas 1, 2, 4) on hop(v, r).
           if (options_->use_keyword_pruning && !match_->Contains(v)) {
             // The center is outside the keyword core, and the center is in
-            // every g (Lemma 1, sharpened to C). C holds only vertices that
-            // carry a query keyword, and BV_r(v) folds in v's own keywords,
-            // so a center that passes this test always passes the ball
-            // signature test: that probe would never prune here (README,
-            // "Design notes").
+            // every g (Lemma 1, sharpened to C).
             ++stats->pruned_keyword;
             continue;
           }
-          TOPL_DCHECK(!match_->Contains(v) ||
-                          pre_->SignatureIntersects(v, r, *query_bv_),
-                      "a keyword-carrying center's ball signature misses Q");
           if (options_->use_support_pruning &&
               (pre_->SupportBound(v, r) < required_support_ ||
                (options_->use_center_truss_bound &&
@@ -198,12 +188,7 @@ class PlanCursor {
       } else {
         for (std::uint32_t c = 0; c < node.num_children; ++c) {
           const std::uint32_t child = node.first_child + c;
-          // Index-level pruning (Lemmas 5–7).
-          if (options_->use_keyword_pruning &&
-              !tree_->SignatureIntersects(child, r, *query_bv_)) {
-            stats->pruned_keyword += tree_->node(child).num_vertices;
-            continue;
-          }
+          // Index-level pruning (Lemmas 6–7, then Lemma 5 sharpened to C).
           if (options_->use_support_pruning &&
               (tree_->SupportBound(child, r) < required_support_ ||
                (options_->use_center_truss_bound &&
@@ -259,9 +244,8 @@ class PlanCursor {
   const int z_;
   const bool score_pruning_;
   const std::uint32_t required_support_;
-  const BitVector* query_bv_;
   // The query's keyword core C, which every later keyword test of the query
-  // reads (subtree marks, leaf filter, prechecks, ball BFS), and the per-node
+  // reads (subtree marks, leaf filter, ball BFS), and the per-node
   // marks of the subtrees that hold a vertex of C. Both are filled lazily,
   // at most once per query.
   KeywordMatch* match_;
@@ -309,7 +293,6 @@ class ScoreMemo {
 struct ChunkOutput {
   std::vector<CommunityResult> found;  // σ only; gInf is built at output
   std::uint64_t refined = 0;
-  std::uint64_t precheck_rejected = 0;
   std::uint64_t propagations = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
   std::uint64_t triangles_inspected = 0;
@@ -322,8 +305,8 @@ struct ChunkOutput {
 // here (workers share it); `worker_memo` is the calling worker's own record of
 // the seed sets it scored in this wave (the inline path passes the query memo
 // as both). The chunk accumulates in a local and writes its slot once:
-// neighbouring slots share cache lines, and a candidate the extractor's
-// prechecks reject costs less than a line bouncing between cores.
+// neighbouring slots share cache lines, and a candidate whose ball holds no
+// community costs less than a line bouncing between cores.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
                  const KeywordMatch& match, RefineScratch& scratch,
                  const ScoreMemo& query_memo, ScoreMemo* worker_memo,
@@ -340,7 +323,6 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
     const bool found = scratch.extractor.Extract(
         v, query, SeedCommunityExtractor::Mode::kIncremental,
         &candidate.community, &match);
-    out.precheck_rejected += scratch.extractor.last_precheck_rejected();
     out.triangles_inspected += scratch.extractor.last_triangles_inspected();
     out.support_recomputes_avoided +=
         scratch.extractor.last_support_recomputes_avoided();
@@ -399,12 +381,10 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
 
   // Score bounds are valid only for the largest pre-selected θ_z ≤ θ.
   const int z = pre_->ThresholdIndex(query.theta);
-  const BitVector query_bv =
-      BitVector::FromKeywords(query.keywords, pre_->signature_bits());
 
   TopLCollector collector(query.top_l);
-  PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv,
-                  &keyword_match_, &core_subtrees_);
+  PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, &keyword_match_,
+                  &core_subtrees_);
   const DeadlineClock deadline(control.deadline_seconds);
   const bool checkpoints = control.NeedsCheckpoints();
 
@@ -479,7 +459,6 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     // later waves, and offer its communities (σ only) to the collector.
     auto merge = [&](ChunkOutput& out) {
       stats.candidates_refined += out.refined;
-      stats.precheck_rejected += out.precheck_rejected;
       stats.communities_found += out.found.size();
       stats.propagations += out.propagations;
       stats.triangles_inspected += out.triangles_inspected;

@@ -47,10 +47,11 @@ class RefineScratchPool : public LeasePool<RefineScratch> {
 ///  - Plan: best-first traversal of the tree index with a max-heap keyed by
 ///    the nodes' influential-score upper bounds, applying the index-level
 ///    pruning rules (Lemmas 5–7) at non-leaf entries and the candidate-level
-///    rules (Lemmas 1, 2, 4) at leaf vertices. Keyword pruning also skips
-///    every subtree and leaf vertex outside the query's keyword core (the
-///    (k−1)-core of the keyword-holders' subgraph, KeywordMatch). The traversal is exposed as a
-///    cursor that yields *waves* of surviving candidate centers.
+///    rules (Lemmas 1, 2, 4) at leaf vertices. Keyword pruning (Lemmas 1 and
+///    5) skips every subtree and leaf vertex outside the query's keyword core
+///    (the (k−1)-core of the keyword-holders' subgraph, KeywordMatch). The
+///    traversal is exposed as a cursor that yields *waves* of surviving
+///    candidate centers.
 ///  - Score: each wave's candidates are refined — maximal seed community
 ///    extraction plus an exact score-only MIA propagation of σ(g) — either
 ///    inline (sequential) or fanned out in chunks over a ThreadPool

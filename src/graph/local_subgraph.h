@@ -55,12 +55,11 @@ struct LocalGraph {
 /// Every member of a seed community holds a query keyword (Definition 2), and
 /// a k-truss gives each member at least k−1 neighbours inside it. So every
 /// community lies in C, the (k−1)-core of G[M], where M is the set of
-/// vertices that hold a keyword of Q and k−1 means max(k, 2)−1, the
-/// extractor's own center-degree bound (README, "Design notes"). Fill
-/// computes C and Contains(v) answers v ∈ C. The detector's hot path asks
-/// this for the same vertices many times per query: once per leaf vertex
-/// (Lemma 1's center test, sharpened), once per neighbour in the center
-/// prechecks, and once per arc of every keyword-filtered ball.
+/// vertices that hold a keyword of Q and k−1 means max(k, 2)−1, the least
+/// degree of a member (README, "Design notes"). Fill computes C and
+/// Contains(v) answers v ∈ C. The detector's hot path asks this for the same
+/// vertices many times per query: once per leaf vertex (Lemma 1's center
+/// test, sharpened), and once per arc of every keyword-filtered ball.
 ///
 /// Fill costs O(n/64 + Σ_{w∈Q} |postings(w)| + Σ_{v∈M} deg v) and never
 /// scans the vertices' keyword lists: it sets M's bits from the query

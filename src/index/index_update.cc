@@ -105,13 +105,10 @@ void IndexUpdater::RecomputeNodeAggregates(TreeIndex* t, std::uint32_t id) {
   const TreeIndex::Node& node = t->owned_nodes_[id];
   const std::uint32_t r_max = t->r_max_;
   const std::uint32_t num_thetas = t->num_thetas_;
-  const std::size_t words = t->words_;
   const PrecomputedData& pre = *t->pre_;
 
   t->owned_center_truss_bounds_[id] = 0;
   for (std::uint32_t r = 1; r <= r_max; ++r) {
-    std::uint64_t* sig = t->owned_signatures_.data() + t->SigOffset(id, r);
-    std::fill(sig, sig + words, 0);
     t->owned_support_bounds_[t->Index2(id, r)] = 0;
     for (std::uint32_t z = 0; z < num_thetas; ++z) {
       t->owned_score_bounds_[t->Index3(id, r, z)] = 0.0;
@@ -124,9 +121,6 @@ void IndexUpdater::RecomputeNodeAggregates(TreeIndex* t, std::uint32_t id) {
       t->owned_center_truss_bounds_[id] =
           std::max(t->owned_center_truss_bounds_[id], pre.CenterTrussBound(v));
       for (std::uint32_t r = 1; r <= r_max; ++r) {
-        std::uint64_t* sig = t->owned_signatures_.data() + t->SigOffset(id, r);
-        const auto vsig = pre.SignatureWords(v, r);
-        for (std::size_t w = 0; w < words; ++w) sig[w] |= vsig[w];
         std::uint32_t& sup = t->owned_support_bounds_[t->Index2(id, r)];
         sup = std::max(sup, pre.SupportBound(v, r));
         for (std::uint32_t z = 0; z < num_thetas; ++z) {
@@ -145,10 +139,6 @@ void IndexUpdater::RecomputeNodeAggregates(TreeIndex* t, std::uint32_t id) {
         std::max(t->owned_center_truss_bounds_[id],
                  t->owned_center_truss_bounds_[child]);
     for (std::uint32_t r = 1; r <= r_max; ++r) {
-      std::uint64_t* sig = t->owned_signatures_.data() + t->SigOffset(id, r);
-      const std::uint64_t* csig =
-          t->owned_signatures_.data() + t->SigOffset(child, r);
-      for (std::size_t w = 0; w < words; ++w) sig[w] |= csig[w];
       std::uint32_t& sup = t->owned_support_bounds_[t->Index2(id, r)];
       sup = std::max(sup, t->owned_support_bounds_[t->Index2(child, r)]);
       for (std::uint32_t z = 0; z < num_thetas; ++z) {
@@ -226,8 +216,10 @@ std::vector<VertexId> IndexUpdater::DirtyCenters(
     seed_mask[e.v] = 1;
   }
 
-  // Keyword-only epicenters join the structural expansion (signatures are
-  // ball-local; they never alter score bounds).
+  // Keyword epicenters join the structural expansion. No precomputed row
+  // reads keywords, but a keyword change can move a center within r_max hops
+  // into or out of a query's seed community, and QueryCache::OnUpdate
+  // invalidates against exactly this set.
   for (const GraphDelta::KeywordChange& c : delta.keyword_adds) seed_mask[c.v] = 1;
   for (const GraphDelta::KeywordChange& c : delta.keyword_removes) {
     seed_mask[c.v] = 1;
@@ -316,13 +308,11 @@ Result<UpdatedIndex> IndexUpdater::Apply(const Graph& base,
   t.pre_ = out.pre.get();
   t.r_max_ = tree.r_max_;
   t.num_thetas_ = tree.num_thetas_;
-  t.words_ = tree.words_;
   t.root_ = tree.root_;
   t.height_ = tree.height_;
   t.owned_nodes_.assign(tree.nodes_.begin(), tree.nodes_.end());
   t.owned_sorted_vertices_.assign(tree.sorted_vertices_.begin(),
                                   tree.sorted_vertices_.end());
-  t.owned_signatures_.assign(tree.signatures_.begin(), tree.signatures_.end());
   t.owned_support_bounds_.assign(tree.support_bounds_.begin(),
                                  tree.support_bounds_.end());
   t.owned_center_truss_bounds_.assign(tree.center_truss_bounds_.begin(),

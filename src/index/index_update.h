@@ -59,13 +59,13 @@ struct UpdatedIndex {
 /// \brief Incremental maintenance of the offline phase under a GraphDelta.
 ///
 /// The paper's index is deliberately local: every vertex's precomputed rows
-/// derive from its own r_max-ball (signatures, ball supports, center
-/// trussness) plus one bounded propagation per radius (score bounds at
-/// θ ≥ θ_min). An edge or keyword update therefore invalidates only a
-/// bounded region:
+/// derive from its own r_max-ball (ball supports, center trussness) plus one
+/// bounded propagation per radius (score bounds at θ ≥ θ_min). An edge or
+/// keyword update therefore invalidates only a bounded region:
 ///
-///  - keyword change at w: centers within r_max structural hops of w
-///    (w enters their ball signature);
+///  - keyword change at w: centers within r_max structural hops of w. No
+///    row reads keywords, but w can enter or leave the seed community such
+///    a center yields for a query, so result caches must drop its answers;
 ///  - edge change {a, b}: centers within r_max hops of a or b in the old
 ///    *or* new graph (ball membership / ball supports / center trussness),
 ///    plus centers whose ball reaches a or b with propagation probability

@@ -9,17 +9,6 @@
 
 namespace topl {
 
-bool PrecomputedData::SignatureIntersects(VertexId v, std::uint32_t r,
-                                          const BitVector& query_bv) const {
-  const auto words = SignatureWords(v, r);
-  const auto qwords = query_bv.words();
-  TOPL_DCHECK(words.size() == qwords.size(), "signature width mismatch");
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if ((words[i] & qwords[i]) != 0) return true;
-  }
-  return false;
-}
-
 int PrecomputedData::ThresholdIndex(double theta) const {
   int z = -1;
   for (std::size_t i = 0; i < thetas_.size(); ++i) {
@@ -46,7 +35,6 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
              "PrecomputedData (copy a mapped instance first)");
   TOPL_CHECK(v < out->n_ && out->n_ == graph_->NumVertices(),
              "VertexPrecomputer::Recompute: vertex/graph shape mismatch");
-  const Graph& g = *graph_;
   const std::uint32_t r_max = out->r_max_;
   const std::size_t m_thetas = out->owned_thetas_.size();
 
@@ -62,28 +50,6 @@ void VertexPrecomputer::Recompute(VertexId v, PrecomputedData* out) {
     for (std::uint32_t r = 0; r <= r_max; ++r) {
       while (idx < lg.NumVertices() && lg.dist[idx] <= r) ++idx;
       members_at_radius_[r] = idx;
-    }
-  }
-
-  // Signatures: incremental OR over BFS layers.
-  if (acc_.bits() != out->signature_bits_) {
-    acc_ = BitVector(out->signature_bits_);
-  } else {
-    acc_.Clear();
-  }
-  {
-    std::size_t idx = 0;
-    for (std::uint32_t r = 1; r <= r_max; ++r) {
-      // Layer r-1's prefix is already folded in; fold the new layer.
-      // (For r = 1 this folds layers 0 and 1.)
-      const std::size_t upto = members_at_radius_[r];
-      while (idx < upto) {
-        for (KeywordId w : g.Keywords(lg.global_ids[idx])) acc_.AddKeyword(w);
-        ++idx;
-      }
-      std::copy(acc_.words().begin(), acc_.words().end(),
-                out->owned_signatures_.begin() +
-                    static_cast<std::ptrdiff_t>(out->SigOffset(v, r)));
     }
   }
 
@@ -135,19 +101,13 @@ Result<PrecomputedData> PrecomputedData::Build(const Graph& g,
       return Status::InvalidArgument("pre-selected thetas must be strictly ascending");
     }
   }
-  if (options.signature_bits < 8) {
-    return Status::InvalidArgument("signature_bits must be >= 8");
-  }
 
   PrecomputedData data;
   data.r_max_ = options.r_max;
   data.owned_thetas_ = options.thetas;
-  data.signature_bits_ = options.signature_bits;
-  data.words_ = (options.signature_bits + 63) / 64;
   data.n_ = g.NumVertices();
   const std::uint32_t r_max = data.r_max_;
   const std::size_t m_thetas = data.owned_thetas_.size();
-  data.owned_signatures_.assign(data.n_ * r_max * data.words_, 0);
   data.owned_support_bounds_.assign(data.n_ * r_max, 0);
   data.owned_center_truss_.assign(data.n_, 2);
   data.owned_score_bounds_.assign(data.n_ * r_max * m_thetas, 0.0);

@@ -10,7 +10,6 @@
 #include "graph/graph.h"
 #include "graph/local_subgraph.h"
 #include "influence/propagation.h"
-#include "keywords/bit_vector.h"
 #include "truss/truss_decomposition.h"
 
 namespace topl {
@@ -23,8 +22,6 @@ struct PrecomputeOptions {
   /// Pre-selected influence thresholds θ_1 < θ_2 < ... < θ_m (§IV-D). The
   /// online bound for θ is σ_z with the largest θ_z ≤ θ.
   std::vector<double> thetas = {0.1, 0.2, 0.3};
-  /// Width B of the hashed keyword signatures.
-  std::uint32_t signature_bits = 128;
   /// Worker threads for the per-vertex loop (0 = hardware concurrency).
   std::size_t num_threads = 0;
 };
@@ -33,7 +30,6 @@ struct PrecomputeOptions {
 ///
 /// For every vertex v and radius r ∈ [1, r_max] this stores, over the r-hop
 /// subgraph hop(v, r):
-///  - BV_r: the OR of the hashed keyword signatures of all members,
 ///  - ub_sup_r: the largest edge support among hop(v, r)'s edges, measured
 ///    within the r_max-ball hop(v, r_max) (Algorithm 2 lines 4–5: supports
 ///    are computed "w.r.t. hop(v_i, r_max)" — valid because every seed
@@ -76,18 +72,7 @@ class PrecomputedData {
   std::uint32_t r_max() const { return r_max_; }
   std::span<const double> thetas() const { return thetas_; }
   std::uint32_t num_thetas() const { return static_cast<std::uint32_t>(thetas_.size()); }
-  std::uint32_t signature_bits() const { return signature_bits_; }
-  std::size_t words_per_signature() const { return words_; }
   std::size_t num_vertices() const { return n_; }
-
-  /// Raw signature words of BV_r for (v, r); r is 1-based, r ≤ r_max.
-  std::span<const std::uint64_t> SignatureWords(VertexId v, std::uint32_t r) const {
-    return {signatures_.data() + SigOffset(v, r), words_};
-  }
-
-  /// True iff BV_r(v) ∧ query_bv ≠ 0 (Lemma 5 test at vertex granularity).
-  bool SignatureIntersects(VertexId v, std::uint32_t r,
-                           const BitVector& query_bv) const;
 
   /// ub_sup_r(v): 0 when hop(v, r) has no edges.
   std::uint32_t SupportBound(VertexId v, std::uint32_t r) const {
@@ -125,7 +110,6 @@ class PrecomputedData {
   /// Points the view spans at the owned vectors (build / update path).
   void BindOwned() {
     thetas_ = owned_thetas_;
-    signatures_ = owned_signatures_;
     support_bounds_ = owned_support_bounds_;
     center_truss_ = owned_center_truss_;
     score_bounds_ = owned_score_bounds_;
@@ -135,11 +119,8 @@ class PrecomputedData {
   /// vectors (used by the copy operations above).
   void CopyFrom(const PrecomputedData& other) {
     r_max_ = other.r_max_;
-    signature_bits_ = other.signature_bits_;
-    words_ = other.words_;
     n_ = other.n_;
     owned_thetas_.assign(other.thetas_.begin(), other.thetas_.end());
-    owned_signatures_.assign(other.signatures_.begin(), other.signatures_.end());
     owned_support_bounds_.assign(other.support_bounds_.begin(),
                                  other.support_bounds_.end());
     owned_center_truss_.assign(other.center_truss_.begin(),
@@ -150,9 +131,6 @@ class PrecomputedData {
     BindOwned();
   }
 
-  std::size_t SigOffset(VertexId v, std::uint32_t r) const {
-    return ((static_cast<std::size_t>(v) * r_max_) + (r - 1)) * words_;
-  }
   std::size_t Index2(VertexId v, std::uint32_t r) const {
     return static_cast<std::size_t>(v) * r_max_ + (r - 1);
   }
@@ -161,20 +139,16 @@ class PrecomputedData {
   }
 
   std::uint32_t r_max_ = 0;
-  std::uint32_t signature_bits_ = 0;
-  std::size_t words_ = 0;
   std::size_t n_ = 0;
 
   // Views over the active backing.
   std::span<const double> thetas_;
-  std::span<const std::uint64_t> signatures_;      // n * r_max * words_
   std::span<const std::uint32_t> support_bounds_;  // n * r_max
   std::span<const std::uint32_t> center_truss_;    // n
   std::span<const double> score_bounds_;           // n * r_max * m
 
   // Owned backing; empty when the data is a view over `backing_`.
   std::vector<double> owned_thetas_;
-  std::vector<std::uint64_t> owned_signatures_;
   std::vector<std::uint32_t> owned_support_bounds_;
   std::vector<std::uint32_t> owned_center_truss_;
   std::vector<double> owned_score_bounds_;
@@ -186,7 +160,7 @@ class PrecomputedData {
 /// \brief The Algorithm-2 inner loop for one vertex, with reusable scratch.
 ///
 /// Vertices are independent in the offline phase: each vertex's rows
-/// (signatures, support bounds, center trussness, score bounds) derive from
+/// (support bounds, center trussness, score bounds) derive from
 /// its own r_max-ball plus one global propagation per radius. Build runs one
 /// VertexPrecomputer per pool worker over all vertices; incremental
 /// maintenance (IndexUpdater) runs the same code over the dirty set only, so
@@ -203,7 +177,7 @@ class VertexPrecomputer {
 
   /// Recomputes every row of vertex v in `out` over the constructor's graph.
   /// `out` must be heap-backed (not a mapped artifact view) with fully
-  /// allocated arrays, and its r_max/thetas/signature shape is taken as-is.
+  /// allocated arrays, and its r_max/thetas shape is taken as-is.
   void Recompute(VertexId v, PrecomputedData* out);
 
  private:
@@ -215,7 +189,6 @@ class VertexPrecomputer {
   // the vectors below) persist across the thousands of Recompute calls one
   // worker performs, so the per-vertex loop allocates nothing after warm-up.
   LocalTrussDecomposer decomposer_;
-  BitVector acc_;  // running signature OR over the ball's BFS layers
   std::vector<std::uint32_t> ball_trussness_;
   std::vector<std::size_t> members_at_radius_;
   std::vector<std::uint32_t> max_sup_by_radius_;

@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/check.h"
-
 namespace topl {
-
-bool TreeIndex::SignatureIntersects(std::uint32_t node_id, std::uint32_t r,
-                                    const BitVector& query_bv) const {
-  const std::uint64_t* words = signatures_.data() + SigOffset(node_id, r);
-  const auto qwords = query_bv.words();
-  TOPL_DCHECK(qwords.size() == words_, "signature width mismatch");
-  for (std::size_t i = 0; i < words_; ++i) {
-    if ((words[i] & qwords[i]) != 0) return true;
-  }
-  return false;
-}
 
 void TreeIndex::BuildLeafMap() {
   leaf_of_.assign(sorted_vertices_.size(), 0);
@@ -60,13 +47,11 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
   index.pre_ = &pre;
   index.r_max_ = pre.r_max();
   index.num_thetas_ = pre.num_thetas();
-  index.words_ = pre.words_per_signature();
 
   // Construction writes through the owned vectors; the view spans are bound
   // once the arena and aggregate arrays have reached their final size.
   auto& nodes = index.owned_nodes_;
   auto& sorted = index.owned_sorted_vertices_;
-  auto& signatures = index.owned_signatures_;
   auto& support_bounds = index.owned_support_bounds_;
   auto& center_truss_bounds = index.owned_center_truss_bounds_;
   auto& score_bounds = index.owned_score_bounds_;
@@ -87,7 +72,6 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
   auto alloc_aggregates = [&](std::uint32_t node_id) {
     // Aggregate arrays grow in lock-step with the arena.
     const std::size_t want_nodes = node_id + 1;
-    signatures.resize(want_nodes * index.r_max_ * index.words_, 0);
     support_bounds.resize(want_nodes * index.r_max_, 0);
     center_truss_bounds.resize(want_nodes, 0);
     score_bounds.resize(want_nodes * index.r_max_ * index.num_thetas_, 0.0);
@@ -111,12 +95,9 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
                    pre.CenterTrussBound(sorted[i]));
     }
     for (std::uint32_t r = 1; r <= index.r_max_; ++r) {
-      std::uint64_t* sig = signatures.data() + index.SigOffset(id, r);
       std::uint32_t& sup = support_bounds[index.Index2(id, r)];
       for (std::uint32_t i = begin; i < end; ++i) {
         const VertexId v = sorted[i];
-        const auto vsig = pre.SignatureWords(v, r);
-        for (std::size_t w = 0; w < index.words_; ++w) sig[w] |= vsig[w];
         sup = std::max(sup, pre.SupportBound(v, r));
         for (std::uint32_t z = 0; z < index.num_thetas_; ++z) {
           double& score = score_bounds[index.Index3(id, r, z)];
@@ -147,10 +128,6 @@ Result<TreeIndex> TreeIndex::Build(const Graph& g, const PrecomputedData& pre,
         center_truss_bounds[id] = std::max(
             center_truss_bounds[id], center_truss_bounds[child]);
         for (std::uint32_t r = 1; r <= index.r_max_; ++r) {
-          std::uint64_t* sig = signatures.data() + index.SigOffset(id, r);
-          const std::uint64_t* csig =
-              signatures.data() + index.SigOffset(child, r);
-          for (std::size_t w = 0; w < index.words_; ++w) sig[w] |= csig[w];
           support_bounds[index.Index2(id, r)] =
               std::max(support_bounds[index.Index2(id, r)],
                        support_bounds[index.Index2(child, r)]);

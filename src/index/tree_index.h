@@ -11,7 +11,6 @@
 #include "graph/graph.h"
 #include "graph/local_subgraph.h"
 #include "index/precompute.h"
-#include "keywords/bit_vector.h"
 
 namespace topl {
 
@@ -29,7 +28,6 @@ struct TreeIndexOptions {
 /// high-influence vertices cluster under the same subtrees) and packed into
 /// leaves of `leaf_capacity`; non-leaf levels group `fanout` children until a
 /// single root remains. Every node carries, per radius r:
-///  - the OR of the BV_r signatures underneath (index-level Lemma 5),
 ///  - the max ub_sup_r underneath (index-level Lemma 6),
 ///  - the max σ_z underneath for every θ_z (index-level Lemma 7 and the
 ///    best-first traversal key of Algorithm 3).
@@ -92,10 +90,6 @@ class TreeIndex {
   void MarkCoreSubtrees(const KeywordMatch& match,
                         std::vector<std::uint8_t>* marks) const;
 
-  /// Aggregated BV_r of node ∧ query ≠ 0?
-  bool SignatureIntersects(std::uint32_t node_id, std::uint32_t r,
-                           const BitVector& query_bv) const;
-
   /// Aggregated max ub_sup_r of node.
   std::uint32_t SupportBound(std::uint32_t node_id, std::uint32_t r) const {
     return support_bounds_[Index2(node_id, r)];
@@ -125,7 +119,6 @@ class TreeIndex {
   void BindOwned() {
     nodes_ = owned_nodes_;
     sorted_vertices_ = owned_sorted_vertices_;
-    signatures_ = owned_signatures_;
     support_bounds_ = owned_support_bounds_;
     center_truss_bounds_ = owned_center_truss_bounds_;
     score_bounds_ = owned_score_bounds_;
@@ -136,9 +129,6 @@ class TreeIndex {
   /// the map, since updates keep leaf membership.
   void BuildLeafMap();
 
-  std::size_t SigOffset(std::uint32_t node_id, std::uint32_t r) const {
-    return ((static_cast<std::size_t>(node_id) * r_max_) + (r - 1)) * words_;
-  }
   std::size_t Index2(std::uint32_t node_id, std::uint32_t r) const {
     return static_cast<std::size_t>(node_id) * r_max_ + (r - 1);
   }
@@ -149,14 +139,12 @@ class TreeIndex {
   const PrecomputedData* pre_ = nullptr;
   std::uint32_t r_max_ = 0;
   std::uint32_t num_thetas_ = 0;
-  std::size_t words_ = 0;
   std::uint32_t root_ = 0;
   std::uint32_t height_ = 0;
 
   // Views over the active backing.
   std::span<const Node> nodes_;
   std::span<const VertexId> sorted_vertices_;
-  std::span<const std::uint64_t> signatures_;           // per node × r
   std::span<const std::uint32_t> support_bounds_;       // per node × r
   std::span<const std::uint32_t> center_truss_bounds_;  // per node
   std::span<const double> score_bounds_;                // per node × r × z
@@ -164,7 +152,6 @@ class TreeIndex {
   // Owned backing; empty when the index is a view over `backing_`.
   std::vector<Node> owned_nodes_;
   std::vector<VertexId> owned_sorted_vertices_;
-  std::vector<std::uint64_t> owned_signatures_;
   std::vector<std::uint32_t> owned_support_bounds_;
   std::vector<std::uint32_t> owned_center_truss_bounds_;
   std::vector<double> owned_score_bounds_;

@@ -18,8 +18,9 @@ namespace topl {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'O', 'P', 'L', 'I', 'D', 'X', '2'};
-constexpr std::uint32_t kVersionRaw = 1;         // 17 sections, all raw
-constexpr std::uint32_t kVersionEncoded = 2;     // + g.extids, per-section codec
+// The one version read and written. Versions 1 and 2 stored keyword
+// signature sections this build no longer reads; rebuild such an index.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint64_t kSectionAlignment = 64;
 
 // ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ struct DiskSection {
   std::uint64_t offset;
   std::uint64_t size;       // stored payload bytes (post-encoding)
   std::uint32_t elem_size;  // bytes per element (1 for encoded sections)
-  std::uint32_t encoding;   // SectionEncoding; always 0 in version-1 files
+  std::uint32_t encoding;   // SectionEncoding
   std::uint64_t checksum;   // XXH64 over the stored payload
 };
 static_assert(sizeof(DiskSection) == 48, "TOPLIDX2 section entry is 48 bytes");
@@ -51,20 +52,17 @@ struct MetaBlock {
   std::uint64_t num_vertices;
   std::uint64_t num_edges;
   std::uint64_t total_keywords;
+  std::uint64_t tree_num_nodes;
   std::uint32_t keyword_domain_bound;
   std::uint32_t r_max;
-  std::uint32_t signature_bits;
   std::uint32_t num_thetas;
-  std::uint64_t words_per_signature;
   std::uint32_t tree_root;
   std::uint32_t tree_height;
-  std::uint64_t tree_num_nodes;
+  std::uint32_t reserved;  // zero
 };
-static_assert(sizeof(MetaBlock) == 64, "TOPLIDX2 meta block is 64 bytes");
+static_assert(sizeof(MetaBlock) == 56, "TOPLIDX2 meta block is 56 bytes");
 
-// Canonical section order; the reader requires exactly this table. Version-1
-// files carry the first kNumSectionsV1 sections; version-2 files additionally
-// carry g.extids.
+// Canonical section order; the reader requires exactly this table.
 enum SectionId : std::size_t {
   kMeta = 0,
   kGraphOffsets,
@@ -72,72 +70,63 @@ enum SectionId : std::size_t {
   kGraphEndpoints,
   kGraphKwOffsets,
   kGraphKeywords,
+  kGraphExtIds,
   kPreThetas,
-  kPreSignatures,
   kPreSupports,
   kPreTruss,
   kPreScores,
   kTreeNodes,
   kTreeSorted,
-  kTreeSignatures,
   kTreeSupports,
   kTreeTruss,
   kTreeScores,
-  kNumSectionsV1,
-  kGraphExtIds = kNumSectionsV1,
-  kNumSectionsV2,
+  kNumSections,
 };
 
-constexpr const char* kSectionNames[kNumSectionsV2] = {
-    "meta",         "g.offsets",    "g.arcs",     "g.endpoints",
-    "g.kw_offsets", "g.keywords",   "p.thetas",   "p.signatures",
-    "p.supports",   "p.truss",      "p.scores",   "t.nodes",
-    "t.sorted",     "t.signatures", "t.supports", "t.truss",
-    "t.scores",     "g.extids"};
+constexpr const char* kSectionNames[kNumSections] = {
+    "meta",       "g.offsets", "g.arcs",   "g.endpoints", "g.kw_offsets",
+    "g.keywords", "g.extids",  "p.thetas", "p.supports",  "p.truss",
+    "p.scores",   "t.nodes",   "t.sorted", "t.supports",  "t.truss",
+    "t.scores"};
 
-constexpr std::uint32_t kSectionElemSizes[kNumSectionsV2] = {
+constexpr std::uint32_t kSectionElemSizes[kNumSections] = {
     sizeof(MetaBlock),
     sizeof(std::uint64_t),           // g.offsets
     sizeof(Graph::Arc),              // g.arcs
     sizeof(Graph::EdgeEndpoints),    // g.endpoints
     sizeof(std::uint64_t),           // g.kw_offsets
     sizeof(KeywordId),               // g.keywords
+    sizeof(VertexId),                // g.extids
     sizeof(double),                  // p.thetas
-    sizeof(std::uint64_t),           // p.signatures
     sizeof(std::uint32_t),           // p.supports
     sizeof(std::uint32_t),           // p.truss
     sizeof(double),                  // p.scores
     sizeof(TreeIndex::Node),         // t.nodes
     sizeof(VertexId),                // t.sorted
-    sizeof(std::uint64_t),           // t.signatures
     sizeof(std::uint32_t),           // t.supports
     sizeof(std::uint32_t),           // t.truss
     sizeof(double),                  // t.scores
-    sizeof(VertexId),                // g.extids
 };
 
-// Sections that have a delta+varint codec. Doubles, signatures and the
-// permutation stay raw: score/theta payloads are incompressible entropy and
-// the signature words are dense bitsets.
-constexpr bool kSectionEncodable[kNumSectionsV2] = {
+// Sections that have a delta+varint codec. Doubles and the permutation stay
+// raw: score/theta payloads are incompressible entropy.
+constexpr bool kSectionEncodable[kNumSections] = {
     false,  // meta
     true,   // g.offsets     (monotone u64 deltas)
     true,   // g.arcs        (SoA: to/edge zigzag deltas + raw probs)
     true,   // g.endpoints   (SoA: u zigzag deltas + uvarint v - u - 1)
     true,   // g.kw_offsets
     true,   // g.keywords    (sorted-per-vertex zigzag deltas)
+    false,  // g.extids
     false,  // p.thetas
-    false,  // p.signatures
     true,   // p.supports    (small values, plain varint)
     true,   // p.truss
     false,  // p.scores
     true,   // t.nodes       (SoA columns, see EncodeTreeNodes)
     true,   // t.sorted      (zigzag deltas)
-    false,  // t.signatures
     true,   // t.supports
     true,   // t.truss
     false,  // t.scores
-    false,  // g.extids
 };
 
 // ---------------------------------------------------------------------------
@@ -333,12 +322,10 @@ std::uint64_t ChecksumBytes(const void* data, std::uint64_t size) {
 
 struct ParsedArtifact {
   DiskHeader header;
-  DiskSection table[kNumSectionsV2];  // trailing entries zeroed for version 1
+  DiskSection table[kNumSections];
   MetaBlock meta;
   bool checksums_ok = true;
 
-  std::size_t num_sections() const { return header.section_count; }
-  bool has(SectionId id) const { return id < num_sections(); }
   SectionEncoding encoding(SectionId id) const {
     return static_cast<SectionEncoding>(table[id].encoding);
   }
@@ -363,13 +350,13 @@ Result<ParsedArtifact> ParseTable(const MappedFile& f, bool verify_checksums) {
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(path, "bad magic (not a TOPLIDX2 artifact)");
   }
-  if (header.version != kVersionRaw && header.version != kVersionEncoded) {
+  if (header.version != kVersion) {
     return Corrupt(path, "unsupported artifact version " +
-                             std::to_string(header.version));
+                             std::to_string(header.version) +
+                             " (this build reads version " +
+                             std::to_string(kVersion) + "; rebuild the index)");
   }
-  const std::size_t num_sections =
-      header.version == kVersionRaw ? kNumSectionsV1 : kNumSectionsV2;
-  if (header.section_count != num_sections) {
+  if (header.section_count != kNumSections) {
     return Corrupt(path, "unexpected section count " +
                              std::to_string(header.section_count));
   }
@@ -379,7 +366,7 @@ Result<ParsedArtifact> ParseTable(const MappedFile& f, bool verify_checksums) {
                              " bytes, file has " + std::to_string(f.size()) +
                              ")");
   }
-  const std::uint64_t table_bytes = num_sections * sizeof(DiskSection);
+  const std::uint64_t table_bytes = kNumSections * sizeof(DiskSection);
   const std::uint64_t payload_start = sizeof(DiskHeader) + table_bytes;
   if (f.size() < payload_start) {
     return Corrupt(path, "file too small for the section table");
@@ -390,7 +377,7 @@ Result<ParsedArtifact> ParseTable(const MappedFile& f, bool verify_checksums) {
   }
 
   std::uint64_t prev_end = payload_start;
-  for (std::size_t i = 0; i < num_sections; ++i) {
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     const DiskSection& s = parsed.table[i];
     char expected[16] = {};
     std::strncpy(expected, kSectionNames[i], sizeof(expected) - 1);
@@ -400,8 +387,7 @@ Result<ParsedArtifact> ParseTable(const MappedFile& f, bool verify_checksums) {
     }
     const bool encoded =
         s.encoding == static_cast<std::uint32_t>(SectionEncoding::kDeltaVarint);
-    if (s.encoding != 0 &&
-        (header.version == kVersionRaw || !encoded || !kSectionEncodable[i])) {
+    if (s.encoding != 0 && (!encoded || !kSectionEncodable[i])) {
       return Corrupt(path, std::string("section ") + kSectionNames[i] +
                                " has an unsupported encoding");
     }
@@ -467,7 +453,6 @@ struct LoadedSections {
   std::span<const Graph::EdgeEndpoints> endpoints;
   std::span<const KeywordId> keywords;
   std::span<const double> thetas, p_scores, t_scores;
-  std::span<const std::uint64_t> p_signatures, t_signatures;
   std::span<const std::uint32_t> p_supports, p_truss, t_supports, t_truss;
   std::span<const TreeIndex::Node> nodes;
   std::span<const VertexId> sorted, extids;
@@ -530,9 +515,11 @@ Result<LoadedSections> LoadSections(const MappedFile& f,
     s.keywords = SectionView<KeywordId>(f, parsed, kGraphKeywords);
   }
 
-  // Precompute. Doubles and signatures are always raw.
+  // External ids: always raw, empty for the identity labeling.
+  s.extids = SectionView<VertexId>(f, parsed, kGraphExtIds);
+
+  // Precompute. Doubles are always raw.
   s.thetas = SectionView<double>(f, parsed, kPreThetas);
-  s.p_signatures = SectionView<std::uint64_t>(f, parsed, kPreSignatures);
   s.p_scores = SectionView<double>(f, parsed, kPreScores);
   if (encoded(kPreSupports)) {
     if (!DecodeVarintU32(stored(kPreSupports), &s.p_supports_v)) {
@@ -568,7 +555,6 @@ Result<LoadedSections> LoadSections(const MappedFile& f,
   } else {
     s.sorted = SectionView<VertexId>(f, parsed, kTreeSorted);
   }
-  s.t_signatures = SectionView<std::uint64_t>(f, parsed, kTreeSignatures);
   s.t_scores = SectionView<double>(f, parsed, kTreeScores);
   if (encoded(kTreeSupports)) {
     if (!DecodeVarintU32(stored(kTreeSupports), &s.t_supports_v)) {
@@ -586,11 +572,6 @@ Result<LoadedSections> LoadSections(const MappedFile& f,
   } else {
     s.t_truss = SectionView<std::uint32_t>(f, parsed, kTreeTruss);
   }
-
-  // External ids (version 2, always raw).
-  if (parsed.has(kGraphExtIds)) {
-    s.extids = SectionView<VertexId>(f, parsed, kGraphExtIds);
-  }
   return s;
 }
 
@@ -604,15 +585,13 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
   const std::uint64_t n = meta.num_vertices;
   const std::uint64_t m = meta.num_edges;
   const std::uint64_t r_max = meta.r_max;
-  const std::uint64_t words = meta.words_per_signature;
   const std::uint64_t z = meta.num_thetas;
   const std::uint64_t nodes = meta.tree_num_nodes;
 
   if (n == 0 || n > (1ULL << 32) || m > (1ULL << 32)) {
     return Corrupt(path, "implausible graph size in meta block");
   }
-  if (r_max == 0 || z == 0 || words == 0 ||
-      words != (meta.signature_bits + 63) / 64) {
+  if (r_max == 0 || z == 0) {
     return Corrupt(path, "inconsistent precompute parameters in meta block");
   }
   if (nodes == 0 || meta.tree_root >= nodes) {
@@ -626,20 +605,18 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
       s.kw_offsets.size() == n + 1 &&
       s.keywords.size() == meta.total_keywords &&
       s.thetas.size() == z &&
-      s.p_signatures.size() == n * r_max * words &&
       s.p_supports.size() == n * r_max &&
       s.p_truss.size() == n &&
       s.p_scores.size() == n * r_max * z &&
       s.nodes.size() == nodes &&
       s.sorted.size() == n &&
-      s.t_signatures.size() == nodes * r_max * words &&
       s.t_supports.size() == nodes * r_max &&
       s.t_truss.size() == nodes &&
       s.t_scores.size() == nodes * r_max * z;
   if (!sizes_ok) {
     return Corrupt(path, "section sizes disagree with the meta block");
   }
-  // The external-id section is either absent/empty (identity) or a full
+  // The external-id section is either empty (identity) or a full
   // permutation of [0, n): anything else would silently mislabel every
   // query answer, so it is rejected as corruption like any other section.
   if (!s.extids.empty()) {
@@ -793,23 +770,16 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
       seen[ext] = true;
     }
   }
-  // Version 1 unless a version-2 feature is in play, so default-written
-  // artifacts remain byte-compatible with older readers.
-  const bool v2 = options.compress || !options.external_ids.empty();
-  const std::size_t num_sections = v2 ? kNumSectionsV2 : kNumSectionsV1;
-
   MetaBlock meta{};
   meta.num_vertices = g.NumVertices();
   meta.num_edges = g.NumEdges();
   meta.total_keywords = g.keywords_.size();
+  meta.tree_num_nodes = tree.nodes_.size();
   meta.keyword_domain_bound = g.keyword_domain_bound_;
   meta.r_max = pre.r_max_;
-  meta.signature_bits = pre.signature_bits_;
   meta.num_thetas = static_cast<std::uint32_t>(pre.thetas_.size());
-  meta.words_per_signature = pre.words_;
   meta.tree_root = tree.root_;
   meta.tree_height = tree.height_;
-  meta.tree_num_nodes = tree.nodes_.size();
 
   struct Payload {
     const void* data;
@@ -821,7 +791,7 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
     return Payload{span.data(), span.size_bytes(), kSectionElemSizes[id],
                    static_cast<std::uint32_t>(SectionEncoding::kRaw)};
   };
-  Payload payloads[kNumSectionsV2] = {
+  Payload payloads[kNumSections] = {
       {&meta, sizeof(meta), sizeof(meta),
        static_cast<std::uint32_t>(SectionEncoding::kRaw)},
       bytes_of(g.offsets_, kGraphOffsets),
@@ -829,22 +799,20 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
       bytes_of(g.edge_endpoints_, kGraphEndpoints),
       bytes_of(g.keyword_offsets_, kGraphKwOffsets),
       bytes_of(g.keywords_, kGraphKeywords),
+      bytes_of(options.external_ids, kGraphExtIds),
       bytes_of(pre.thetas_, kPreThetas),
-      bytes_of(pre.signatures_, kPreSignatures),
       bytes_of(pre.support_bounds_, kPreSupports),
       bytes_of(pre.center_truss_, kPreTruss),
       bytes_of(pre.score_bounds_, kPreScores),
       bytes_of(tree.nodes_, kTreeNodes),
       bytes_of(tree.sorted_vertices_, kTreeSorted),
-      bytes_of(tree.signatures_, kTreeSignatures),
       bytes_of(tree.support_bounds_, kTreeSupports),
       bytes_of(tree.center_truss_bounds_, kTreeTruss),
       bytes_of(tree.score_bounds_, kTreeScores),
-      bytes_of(options.external_ids, kGraphExtIds),
   };
 
   // Encoded payloads live in these buffers until the file is flushed.
-  std::vector<std::uint8_t> encoded[kNumSectionsV2];
+  std::vector<std::uint8_t> encoded[kNumSections];
   if (options.compress) {
     encoded[kGraphOffsets] = EncodeDeltaU64(g.offsets_);
     encoded[kGraphArcs] = EncodeArcs(g.arcs_);
@@ -857,17 +825,17 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
     encoded[kTreeSorted] = EncodeDeltaU32(tree.sorted_vertices_);
     encoded[kTreeSupports] = EncodeVarintU32(tree.support_bounds_);
     encoded[kTreeTruss] = EncodeVarintU32(tree.center_truss_bounds_);
-    for (std::size_t i = 0; i < num_sections; ++i) {
+    for (std::size_t i = 0; i < kNumSections; ++i) {
       if (!kSectionEncodable[i]) continue;
       payloads[i] = {encoded[i].data(), encoded[i].size(), 1,
                      static_cast<std::uint32_t>(SectionEncoding::kDeltaVarint)};
     }
   }
 
-  DiskSection table[kNumSectionsV2] = {};
-  const std::uint64_t table_bytes = num_sections * sizeof(DiskSection);
+  DiskSection table[kNumSections] = {};
+  const std::uint64_t table_bytes = kNumSections * sizeof(DiskSection);
   std::uint64_t cursor = sizeof(DiskHeader) + table_bytes;
-  for (std::size_t i = 0; i < num_sections; ++i) {
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     DiskSection& s = table[i];
     std::strncpy(s.name, kSectionNames[i], sizeof(s.name) - 1);
     s.offset = AlignUp(cursor, kSectionAlignment);
@@ -880,8 +848,8 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
 
   DiskHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = v2 ? kVersionEncoded : kVersionRaw;
-  header.section_count = static_cast<std::uint32_t>(num_sections);
+  header.version = kVersion;
+  header.section_count = kNumSections;
   header.file_size = cursor;
   header.table_checksum = XXH64(table, table_bytes);
 
@@ -896,7 +864,7 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
   TOPL_RETURN_IF_ERROR(out->Append(table, table_bytes));
   std::uint64_t written = sizeof(header) + table_bytes;
   static constexpr char kZeros[kSectionAlignment] = {};
-  for (std::size_t i = 0; i < num_sections; ++i) {
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     TOPL_RETURN_IF_ERROR(out->Append(kZeros, table[i].offset - written));
     if (payloads[i].size > 0) {
       TOPL_RETURN_IF_ERROR(out->Append(payloads[i].data, payloads[i].size));
@@ -984,11 +952,8 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   out.pre = std::unique_ptr<PrecomputedData>(new PrecomputedData());
   PrecomputedData& pre = *out.pre;
   pre.r_max_ = meta.r_max;
-  pre.signature_bits_ = meta.signature_bits;
-  pre.words_ = meta.words_per_signature;
   pre.n_ = meta.num_vertices;
   pre.thetas_ = SectionView<double>(f, parsed, kPreThetas);
-  pre.signatures_ = SectionView<std::uint64_t>(f, parsed, kPreSignatures);
   if (encoded(kPreSupports)) {
     pre.owned_support_bounds_ = std::move(s.p_supports_v);
     pre.support_bounds_ = pre.owned_support_bounds_;
@@ -1008,7 +973,6 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   tree.pre_ = out.pre.get();
   tree.r_max_ = meta.r_max;
   tree.num_thetas_ = meta.num_thetas;
-  tree.words_ = meta.words_per_signature;
   tree.root_ = meta.tree_root;
   tree.height_ = meta.tree_height;
   if (encoded(kTreeNodes)) {
@@ -1023,7 +987,6 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   } else {
     tree.sorted_vertices_ = SectionView<VertexId>(f, parsed, kTreeSorted);
   }
-  tree.signatures_ = SectionView<std::uint64_t>(f, parsed, kTreeSignatures);
   if (encoded(kTreeSupports)) {
     tree.owned_support_bounds_ = std::move(s.t_supports_v);
     tree.support_bounds_ = tree.owned_support_bounds_;
@@ -1042,8 +1005,8 @@ Result<MappedIndex> ArtifactReader::Open(const std::string& path,
   tree.BuildLeafMap();
 
   out.external_ids.assign(s.extids.begin(), s.extids.end());
-  for (std::size_t i = 0; i < parsed.num_sections(); ++i) {
-    if (parsed.table[i].encoding != 0) out.compressed = true;
+  for (const DiskSection& section : parsed.table) {
+    if (section.encoding != 0) out.compressed = true;
   }
   out.backing = std::move(mapped);
   return out;
@@ -1065,15 +1028,13 @@ Result<ArtifactInfo> ArtifactReader::Inspect(const std::string& path) {
   info.num_edges = parsed.meta.num_edges;
   info.total_keywords = parsed.meta.total_keywords;
   info.r_max = parsed.meta.r_max;
-  info.signature_bits = parsed.meta.signature_bits;
   info.num_thetas = parsed.meta.num_thetas;
   info.tree_height = parsed.meta.tree_height;
   info.tree_num_nodes = parsed.meta.tree_num_nodes;
-  info.has_external_ids =
-      parsed.has(kGraphExtIds) && parsed.table[kGraphExtIds].size > 0;
+  info.has_external_ids = parsed.table[kGraphExtIds].size > 0;
   info.checksums_ok = parsed.checksums_ok;
-  info.sections.reserve(parsed.num_sections());
-  for (std::size_t i = 0; i < parsed.num_sections(); ++i) {
+  info.sections.reserve(kNumSections);
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     const DiskSection& s = parsed.table[i];
     info.sections.push_back({kSectionNames[i], s.offset, s.size, s.elem_size,
                              s.encoding, s.checksum});

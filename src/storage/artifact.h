@@ -28,27 +28,23 @@ namespace topl {
 ///   payload sections              each starting on a 64-byte boundary,
 ///                                 zero-padded in between
 ///
-/// Two artifact versions are written and read:
-///
-///   version 1 — 17 sections, all raw: every flat array of the three
-///     structures stored exactly as it lives in memory. Opening is a single
-///     mmap plus O(1) header/table validation, linear-scan structural
-///     checks, and (by default) one checksum pass — no allocation, no
-///     deserialization, no copy.
-///   version 2 — the same sections plus a "g.extids" section holding the
-///     locality permutation (graph/reorder.h; empty = identity), and a
-///     per-section encoding tag: 0 = raw, 1 = the section's delta+varint
-///     codec (storage/varint.h). Encoded sections (CSR offsets, arcs, edge
-///     endpoints, keyword arrays, support/truss bounds, tree nodes) are
-///     decoded into owned heap memory at open; raw sections (doubles,
-///     signatures) stay zero-copy views of the mapping. A graph whose
-///     neighbor ids cluster (after reordering) compresses its arc array to
-///     a fraction of the raw 12 B/arc.
-///
-/// ArtifactWriter emits version 1 unless compression or an external-id
-/// permutation is requested, so default-written files are byte-compatible
-/// with older readers. `topl_cli index migrate` re-encodes an artifact
-/// (raw <-> compressed) into a new file; TOPLIDX2 is the only index format.
+/// One artifact version (3) is written and read. Its table always holds the
+/// same 16 sections: every flat array of the three structures, plus
+/// "g.extids", the locality permutation (graph/reorder.h; empty = identity).
+/// Each section carries an encoding tag: 0 = raw, stored exactly as it lives
+/// in memory, or 1 = the section's delta+varint codec (storage/varint.h).
+/// Raw sections stay zero-copy views of the mapping, so opening an
+/// all-raw artifact is a single mmap plus O(1) header/table validation,
+/// linear-scan structural checks, and (by default) one checksum pass.
+/// Encoded sections (CSR offsets, arcs, edge endpoints, keyword arrays,
+/// support/truss bounds, tree nodes) are decoded into owned heap memory at
+/// open; doubles and the permutation are always raw. A graph whose neighbor
+/// ids cluster (after reordering) compresses its arc array to a fraction of
+/// the raw 12 B/arc. Versions 1 and 2 also stored hashed keyword signatures,
+/// which the query's keyword core replaced; opening one fails with a
+/// Corruption status that names its version, and the index must be rebuilt.
+/// `topl_cli index migrate` re-encodes an artifact (raw <-> compressed) into
+/// a new file; TOPLIDX2 is the only index format.
 
 /// Per-section payload encodings (the DiskSection `encoding` field).
 enum class SectionEncoding : std::uint32_t {
@@ -74,7 +70,6 @@ struct ArtifactInfo {
   std::uint64_t num_edges = 0;
   std::uint64_t total_keywords = 0;
   std::uint32_t r_max = 0;
-  std::uint32_t signature_bits = 0;
   std::uint32_t num_thetas = 0;
   std::uint32_t tree_height = 0;
   std::uint64_t tree_num_nodes = 0;
@@ -84,13 +79,12 @@ struct ArtifactInfo {
 };
 
 struct ArtifactWriteOptions {
-  /// Store the delta+varint-friendly sections encoded (artifact version 2).
-  /// Decoding happens once at open; the structural validation and all query
-  /// answers are identical to a raw artifact.
+  /// Store the delta+varint-friendly sections encoded. Decoding happens
+  /// once at open; the structural validation and all query answers are
+  /// identical to a raw artifact.
   bool compress = false;
   /// The locality permutation (new internal id → original external id) from
   /// graph/reorder.h. Must be empty (identity) or a permutation of [0, n).
-  /// Non-empty forces artifact version 2.
   std::span<const VertexId> external_ids = {};
 };
 
@@ -124,7 +118,7 @@ struct MappedIndex {
   /// Internal → external vertex-id permutation from the "g.extids" section;
   /// empty when the artifact was built without reordering (identity map).
   std::vector<VertexId> external_ids;
-  /// True when the artifact stored encoded sections (version 2 compressed);
+  /// True when the artifact stored encoded sections;
   /// preserved so rewrites (`topl_cli update`) keep the representation.
   bool compressed = false;
   /// The mapping all raw-section views point into. Every section was

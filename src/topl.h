@@ -55,7 +55,6 @@
 #include "influence/diversity.h"
 #include "influence/influence_calculator.h"
 #include "influence/propagation.h"
-#include "keywords/bit_vector.h"
 #include "keywords/keyword_dictionary.h"
 #include "loadgen/injector.h"
 #include "loadgen/recorder.h"

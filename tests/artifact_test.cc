@@ -294,15 +294,26 @@ TEST_F(ArtifactTest, InspectReportsSectionsAndChecksums) {
 
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, 1u);
+  EXPECT_EQ(info->version, 3u);
   EXPECT_TRUE(info->checksums_ok);
   EXPECT_EQ(info->num_vertices, graph_->NumVertices());
   EXPECT_EQ(info->num_edges, graph_->NumEdges());
-  EXPECT_EQ(info->sections.size(), 17u);
+  EXPECT_FALSE(info->has_external_ids);
+  // One table for every artifact: the identity permutation is an empty
+  // g.extids section, and no keyword signatures are stored.
+  EXPECT_EQ(info->sections.size(), 16u);
   EXPECT_EQ(info->sections.front().name, "meta");
+  bool has_extids = false;
   for (const ArtifactSectionInfo& s : info->sections) {
     EXPECT_EQ(s.offset % 64, 0u) << s.name;
+    EXPECT_EQ(s.encoding, 0u) << s.name;
+    EXPECT_EQ(s.name.find("signatures"), std::string::npos) << s.name;
+    if (s.name == "g.extids") {
+      has_extids = true;
+      EXPECT_EQ(s.size, 0u);
+    }
   }
+  EXPECT_TRUE(has_extids);
 }
 
 TEST_F(ArtifactTest, FlippedBytesInEverySectionAreRejected) {
@@ -368,7 +379,7 @@ TEST_F(ArtifactTest, ChecksumVerificationCanBeSkippedButStructureIsStillChecked)
   ASSERT_TRUE(info.ok());
   std::vector<char> mutated = ReadAll(path);
   const std::size_t meta_offset = info->sections.front().offset;
-  const std::size_t root_offset = meta_offset + 48;  // MetaBlock::tree_root
+  const std::size_t root_offset = meta_offset + 44;  // MetaBlock::tree_root
   std::uint32_t bogus_root = 0xFFFFFFFF;
   std::memcpy(mutated.data() + root_offset, &bogus_root, sizeof(bogus_root));
   WriteAll(path, mutated);
@@ -452,17 +463,20 @@ TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {
   EXPECT_LT(std::filesystem::file_size(packed_path),
             std::filesystem::file_size(raw_path));
 
-  // The raw write stays version 1 (byte-stable for old readers); compression
-  // is what opts in to version 2 and per-section encodings.
+  // Raw and compressed writes share the version and the section table; only
+  // the per-section encoding tags differ.
   Result<ArtifactInfo> raw_info = ArtifactReader::Inspect(raw_path);
   Result<ArtifactInfo> packed_info = ArtifactReader::Inspect(packed_path);
   ASSERT_TRUE(raw_info.ok());
   ASSERT_TRUE(packed_info.ok());
-  EXPECT_EQ(raw_info->version, 1u);
-  EXPECT_EQ(packed_info->version, 2u);
+  EXPECT_EQ(raw_info->version, 3u);
+  EXPECT_EQ(packed_info->version, 3u);
+  ASSERT_EQ(raw_info->sections.size(), packed_info->sections.size());
   std::size_t encoded_sections = 0;
-  for (const ArtifactSectionInfo& s : packed_info->sections) {
-    if (s.encoding != 0) ++encoded_sections;
+  for (std::size_t i = 0; i < packed_info->sections.size(); ++i) {
+    EXPECT_EQ(packed_info->sections[i].name, raw_info->sections[i].name);
+    EXPECT_EQ(raw_info->sections[i].encoding, 0u);
+    if (packed_info->sections[i].encoding != 0) ++encoded_sections;
   }
   EXPECT_GT(encoded_sections, 0u);
 
@@ -484,9 +498,9 @@ TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {
   }
 }
 
-TEST_F(ArtifactTest, UnknownVersionThreeIsRejectedNotReadAsVersionTwo) {
+TEST_F(ArtifactTest, UnknownVersionFourIsRejectedNotReadAsVersionThree) {
   const BuiltIndex built = BuildIndexFor(*graph_);
-  const std::string path = Path("v3.idx");
+  const std::string path = Path("v4.idx");
   ArtifactWriteOptions compress;
   compress.compress = true;
   ASSERT_TRUE(
@@ -494,24 +508,67 @@ TEST_F(ArtifactTest, UnknownVersionThreeIsRejectedNotReadAsVersionTwo) {
           .ok());
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
   ASSERT_TRUE(info.ok());
-  ASSERT_EQ(info->version, 2u);
+  ASSERT_EQ(info->version, 3u);
 
   // Header layout: 8-byte magic, then the u32 version. The header's only
   // checksum (table_checksum) covers the section table, which is untouched,
   // so after the bump every checksum still matches and the version field
   // alone decides whether the reader accepts the file.
   std::vector<char> mutated = ReadAll(path);
-  const std::uint32_t version = 3;
+  const std::uint32_t version = 4;
   std::memcpy(mutated.data() + 8, &version, sizeof(version));
   WriteAll(path, mutated);
 
   Result<MappedIndex> opened = ArtifactReader::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
-  EXPECT_NE(opened.status().message().find("unsupported artifact version 3"),
+  EXPECT_NE(opened.status().message().find("unsupported artifact version 4"),
             std::string::npos)
       << opened.status().ToString();
   EXPECT_TRUE(ArtifactReader::Inspect(path).status().IsCorruption());
+}
+
+TEST_F(ArtifactTest, OldVersionsAreRejectedByVersion) {
+  // Versions 1 and 2 carried keyword-signature sections (17 and 18 of them).
+  // A header as they wrote it: magic, version, section count, file size,
+  // then a table this reader never gets to.
+  for (const std::uint32_t version : {1u, 2u}) {
+    const std::string path = Path("v" + std::to_string(version) + ".idx");
+    const std::uint32_t section_count = version == 1 ? 17 : 18;
+    std::vector<char> file(64 + section_count * 48, 0);
+    const std::uint64_t file_size = file.size();
+    std::memcpy(file.data(), "TOPLIDX2", 8);
+    std::memcpy(file.data() + 8, &version, sizeof(version));
+    std::memcpy(file.data() + 12, &section_count, sizeof(section_count));
+    std::memcpy(file.data() + 16, &file_size, sizeof(file_size));
+    WriteAll(path, file);
+    ASSERT_TRUE(ArtifactReader::IsArtifact(path));
+
+    const std::string want =
+        "unsupported artifact version " + std::to_string(version);
+    for (const Status& status : {ArtifactReader::Open(path).status(),
+                                 ArtifactReader::Inspect(path).status()}) {
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      EXPECT_NE(status.message().find(want), std::string::npos)
+          << status.ToString();
+    }
+
+    // Engine::Open reports it too, and leaves the old file in place rather
+    // than building a new index over it.
+    const std::string graph_path = Path("graph.bin");
+    ASSERT_TRUE(WriteGraphBinary(*graph_, graph_path).ok());
+    EngineOptions options;
+    options.graph_path = graph_path;
+    options.index_path = path;
+    options.build_index_if_missing = true;
+    options.save_built_index = true;
+    Result<std::unique_ptr<Engine>> engine = Engine::Open(options);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_TRUE(engine.status().IsCorruption()) << engine.status().ToString();
+    EXPECT_NE(engine.status().message().find(want), std::string::npos)
+        << engine.status().ToString();
+    EXPECT_EQ(ReadAll(path), file);
+  }
 }
 
 TEST_F(ArtifactTest, CompressedSectionCorruptionIsRejected) {
@@ -570,7 +627,7 @@ TEST_F(ArtifactTest, ExternalIdPermutationRoundTrips) {
   EXPECT_EQ(mapped->external_ids, permutation);
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 2u);
+  EXPECT_EQ(info->version, 3u);
   EXPECT_TRUE(info->has_external_ids);
 }
 
@@ -730,8 +787,8 @@ TEST_F(ArtifactTest, TreeShapeCorruptionIsRejectedWithoutChecksums) {
 }
 
 TEST_F(ArtifactTest, CompressedCorruptionSweepStaysRejectedWithChecksums) {
-  // The v1 flip sweep (FlippedBytesInEverySectionAreRejected) re-run over a
-  // compressed v2 artifact: per-section checksums still catch every flip.
+  // The raw flip sweep (FlippedBytesInEverySectionAreRejected) re-run over a
+  // compressed artifact: per-section checksums still catch every flip.
   const BuiltIndex built = BuildIndexFor(*graph_);
   const std::string path = Path("packed.idx");
   ArtifactWriteOptions compress;

@@ -2,8 +2,9 @@
 # End-to-end smoke test of topl_cli: generate -> index build -> query ->
 # dtopl -> batch on a tiny graph, then the flag-validation contract: an unknown flag
 # or a malformed number must exit 1 with an InvalidArgument error instead of
-# silently falling back to a default. Last, an `index migrate` round trip and
-# a query against a file that is not an index.
+# silently falling back to a default. Last, an `index migrate` round trip with
+# `index inspect` on both artifacts, and a query against a file that is not an
+# index.
 #
 # Usage: sh tests/cli_smoke.sh path/to/topl_cli
 set -eu
@@ -77,6 +78,22 @@ test ! -e never.idx
 "$cli" index migrate --in=index.idx --out=packed.idx --compress=1
 "$cli" index migrate --in=packed.idx --out=unpacked.idx --compress=0
 cmp index.idx unpacked.idx
+
+# expect_inspect_ok FILE: `index inspect` reports the one artifact version
+# (3) with every checksum matching, the identity g.extids section, and no
+# keyword-signature section or field.
+expect_inspect_ok() {
+  "$cli" index inspect --artifact="$1" > inspect.out
+  if ! grep -q "^$1: TOPLIDX2 v3, .*checksums OK\$" inspect.out ||
+     ! grep -q '^g\.extids ' inspect.out ||
+     grep -q 'signature' inspect.out; then
+    echo "unexpected index inspect output for $1" >&2
+    cat inspect.out >&2
+    exit 1
+  fi
+}
+expect_inspect_ok index.idx
+expect_inspect_ok packed.idx
 
 # A file that is not an index fails the query and is left as it was.
 printf 'not an index\n' > junk.idx

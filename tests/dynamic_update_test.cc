@@ -36,7 +36,6 @@ using testing::MakeKeywordGraph;
 PrecomputeOptions SweepPrecomputeOptions() {
   PrecomputeOptions options;
   options.r_max = 2;
-  options.signature_bits = 64;
   return options;
 }
 
@@ -238,8 +237,8 @@ TEST(DynamicUpdateTest, DeleteDisconnectsComponent) {
 }
 
 // Shrinking keyword sets below the query keywords: once no vertex carries
-// the query keyword, the maintained index (whose signatures must have been
-// refreshed) returns the same empty answer a rebuild does.
+// the query keyword, the maintained index returns the same empty answer a
+// rebuild does.
 TEST(DynamicUpdateTest, KeywordShrinkBelowQueryKeywords) {
   const PrecomputeOptions options = SweepPrecomputeOptions();
   Pipeline pipeline = BuildPipeline(
@@ -304,8 +303,8 @@ TEST(DynamicUpdateTest, RebuildScopeIsLocalForKeywordChange) {
   EXPECT_FALSE(updated->scope.ToString().empty());
 }
 
-/// Every row of `got` (signatures, support bounds, center trussness, score
-/// bounds) is bit-identical to `want`'s.
+/// Every row of `got` (support bounds, center trussness, score bounds) is
+/// bit-identical to `want`'s.
 void ExpectSameRows(const PrecomputedData& got, const PrecomputedData& want,
                     const std::string& label) {
   ASSERT_EQ(got.num_vertices(), want.num_vertices()) << label;
@@ -314,11 +313,6 @@ void ExpectSameRows(const PrecomputedData& got, const PrecomputedData& want,
   for (VertexId v = 0; v < got.num_vertices(); ++v) {
     ASSERT_EQ(got.CenterTrussBound(v), want.CenterTrussBound(v)) << label << " v=" << v;
     for (std::uint32_t r = 1; r <= got.r_max(); ++r) {
-      const auto got_sig = got.SignatureWords(v, r);
-      const auto want_sig = want.SignatureWords(v, r);
-      ASSERT_TRUE(std::equal(got_sig.begin(), got_sig.end(), want_sig.begin(),
-                             want_sig.end()))
-          << label << " v=" << v << " r=" << r;
       ASSERT_EQ(got.SupportBound(v, r), want.SupportBound(v, r))
           << label << " v=" << v << " r=" << r;
       for (std::uint32_t z = 0; z < got.num_thetas(); ++z) {

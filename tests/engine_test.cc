@@ -370,7 +370,6 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   a.pruned_keyword = 1;
   a.pruned_termination = 2;
   a.candidates_refined = 4;
-  a.precheck_rejected = 2;
   a.propagations = 3;
   a.elapsed_seconds = 0.25;
   a.triangles_inspected = 10;
@@ -378,7 +377,6 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   b.heap_pops = 5;
   b.pruned_support = 7;
   b.communities_found = 1;
-  b.precheck_rejected = 5;
   b.propagations = 6;
   b.triangles_inspected = 30;
   b.support_recomputes_avoided = 2;
@@ -391,7 +389,6 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   EXPECT_EQ(a.TotalPruned(), 10u);
   EXPECT_EQ(a.candidates_refined, 4u);
   EXPECT_EQ(a.communities_found, 1u);
-  EXPECT_EQ(a.precheck_rejected, 7u);
   EXPECT_EQ(a.propagations, 9u);
   EXPECT_EQ(a.triangles_inspected, 40u);
   EXPECT_EQ(a.support_recomputes_avoided, 2u);
@@ -404,13 +401,11 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::uint64_t triangles = 0;
   std::uint64_t propagations = 0;
-  std::uint64_t precheck_rejected = 0;
   for (const Query& q : world_->queries) {
     Result<TopLResult> result = (*engine)->Search(q);
     ASSERT_TRUE(result.ok());
     triangles += result->stats.triangles_inspected;
     propagations += result->stats.propagations;
-    precheck_rejected += result->stats.precheck_rejected;
     if (result->stats.communities_found > 0) {
       // Extracting a community walks its triangles on the (default)
       // incremental path, so this query must have metered some, and its
@@ -424,7 +419,6 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
   // The per-query counters must fold into the engine aggregate.
   EXPECT_EQ((*engine)->Stats().query_stats.triangles_inspected, triangles);
   EXPECT_EQ((*engine)->Stats().query_stats.propagations, propagations);
-  EXPECT_EQ((*engine)->Stats().query_stats.precheck_rejected, precheck_rejected);
 }
 
 TEST_F(EngineTest, CreateRejectsMismatchedParts) {

@@ -25,7 +25,6 @@ PrecomputeOptions SmallOptions() {
   PrecomputeOptions opts;
   opts.r_max = 3;
   opts.thetas = {0.1, 0.2, 0.3};
-  opts.signature_bits = 64;
   opts.num_threads = 2;
   return opts;
 }
@@ -43,9 +42,6 @@ TEST(PrecomputeTest, RejectsBadOptions) {
   EXPECT_FALSE(PrecomputedData::Build(g, opts).ok());
   opts = SmallOptions();
   opts.thetas = {0.2, 1.5};  // out of range
-  EXPECT_FALSE(PrecomputedData::Build(g, opts).ok());
-  opts = SmallOptions();
-  opts.signature_bits = 4;
   EXPECT_FALSE(PrecomputedData::Build(g, opts).ok());
 }
 
@@ -201,33 +197,6 @@ TEST(PrecomputeTest, ScoreBoundEqualsHopInfluence) {
   }
 }
 
-TEST(PrecomputeTest, SignatureCoversAllHopKeywords) {
-  SmallWorldOptions gen;
-  gen.num_vertices = 100;
-  gen.seed = 35;
-  Result<Graph> g = MakeSmallWorld(gen);
-  ASSERT_TRUE(g.ok());
-  Result<PrecomputedData> pre = PrecomputedData::Build(*g, SmallOptions());
-  ASSERT_TRUE(pre.ok());
-  HopExtractor ex(*g);
-  LocalGraph lg;
-  for (VertexId v = 0; v < 20; ++v) {
-    for (std::uint32_t r = 1; r <= 3; ++r) {
-      ASSERT_TRUE(ex.Extract(v, r, {}, &lg));
-      // Every keyword of every member must hit the signature — the
-      // no-false-negative property keyword pruning relies on.
-      for (VertexId member : lg.global_ids) {
-        for (KeywordId w : g->Keywords(member)) {
-          BitVector probe = BitVector::FromKeywords(std::vector<KeywordId>{w},
-                                                    pre->signature_bits());
-          EXPECT_TRUE(pre->SignatureIntersects(v, r, probe))
-              << "keyword " << w << " of member " << member << " missing";
-        }
-      }
-    }
-  }
-}
-
 // THE safety property behind Lemma 4/7: the precomputed σ_z dominates the
 // exact σ of every seed community centered at v, for every online θ ≥ θ_z.
 class ScoreBoundSafetyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -278,14 +247,12 @@ TEST(PrecomputeTest, SingleThreadMatchesParallel) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (VertexId v = 0; v < g->NumVertices(); ++v) {
+    EXPECT_EQ(a->CenterTrussBound(v), b->CenterTrussBound(v));
     for (std::uint32_t r = 1; r <= 3; ++r) {
       EXPECT_EQ(a->SupportBound(v, r), b->SupportBound(v, r));
       for (std::uint32_t z = 0; z < 3; ++z) {
         EXPECT_DOUBLE_EQ(a->ScoreBound(v, r, z), b->ScoreBound(v, r, z));
       }
-      const auto wa = a->SignatureWords(v, r);
-      const auto wb = b->SignatureWords(v, r);
-      for (std::size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]);
     }
   }
 }

@@ -24,6 +24,8 @@
 namespace topl {
 namespace {
 
+using testing::BuildIndexFor;
+using testing::BuiltIndex;
 using testing::MakeClique;
 
 Query MakeQuery(std::vector<KeywordId> keywords, std::uint32_t k,
@@ -288,7 +290,6 @@ TEST(QueryCacheTest, SingleFlightCoalescesAndPropagatesFailure) {
 EngineOptions CachedEngineOptions(bool cached) {
   EngineOptions options;
   options.precompute.r_max = 2;
-  options.precompute.signature_bits = 64;
   options.num_threads = 2;
   options.enable_result_cache = cached;
   return options;
@@ -357,6 +358,72 @@ TEST(QueryCacheEngineTest, UnrelatedUpdateKeepsCleanEntriesResident) {
   stats = (*cached)->Stats();
   EXPECT_GE(stats.cache_invalidated, 1u);
   EXPECT_EQ(stats.cache_entries, 0u);
+}
+
+// A keyword add that lets a new center into a cached answer. Clique A (0-4)
+// holds keyword 1; clique B (5-9) holds keyword 1 on 5-8 only, so at k = 5
+// only A has a community and the cached answer is A's. B also influences
+// two followers (10, 11, keyword 3), so once adding keyword 1 to vertex 9
+// completes B's 5-truss of keyword holders, B's community outscores A's and
+// takes the answer. No precomputed row
+// reads keywords, but DirtyCenters still expands the keyword epicenter by
+// r_max hops: those centers are the newcomers the cache's admission check
+// must see, since none of them is in the entry's dependence set.
+TEST(QueryCacheEngineTest, KeywordAddLetsANewCenterIntoACachedAnswer) {
+  GraphBuilder b(12);
+  for (VertexId u = 0; u < 5; ++u) {
+    for (VertexId v = u + 1; v < 5; ++v) b.AddEdge(u, v, 0.5);
+    b.AddKeyword(u, 1);
+  }
+  for (VertexId u = 5; u < 10; ++u) {
+    for (VertexId v = u + 1; v < 10; ++v) b.AddEdge(u, v, 0.9);
+    b.AddKeyword(u, u < 9 ? 1 : 2);
+  }
+  for (VertexId follower = 10; follower < 12; ++follower) {
+    b.AddEdge(5, follower, 0.9);
+    b.AddKeyword(follower, 3);
+  }
+  Result<Graph> built = std::move(b).Build();
+  ASSERT_TRUE(built.ok());
+  const Graph base = CopyGraph(*built);
+  const EngineOptions options = CachedEngineOptions(true);
+  Result<std::unique_ptr<Engine>> cached =
+      Engine::FromGraph(std::move(built).value(), options);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+
+  const Query q = MakeQuery({1}, 5, 1, 0.2, 1);
+  Result<TopLResult> before = (*cached)->Search(q);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->communities.size(), 1u);
+  EXPECT_EQ(before->communities[0].community.center, 0u);
+  ASSERT_EQ((*cached)->Stats().cache_entries, 1u);
+
+  GraphDelta delta;
+  delta.AddKeyword(9, 1);
+  Result<Graph> mutated = ApplyDelta(base, delta);
+  ASSERT_TRUE(mutated.ok());
+  EXPECT_EQ(IndexUpdater::DirtyCenters(base, *mutated, delta,
+                                       options.precompute.r_max,
+                                       options.precompute.thetas.front()),
+            (std::vector<VertexId>{5, 6, 7, 8, 9, 10, 11}));
+
+  ASSERT_TRUE((*cached)->ApplyUpdate(delta).ok());
+  EngineStats stats = (*cached)->Stats();
+  EXPECT_EQ(stats.cache_invalidated, 1u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+
+  // The engine's answer is a fresh detector's over the mutated graph, and
+  // B's community has entered it.
+  const BuiltIndex fresh_index = BuildIndexFor(*mutated, options.precompute);
+  TopLDetector fresh(*mutated, fresh_index.pre(), fresh_index.tree);
+  Result<TopLResult> want = fresh.Search(q);
+  ASSERT_TRUE(want.ok());
+  Result<TopLResult> got = (*cached)->Search(q);
+  ASSERT_TRUE(got.ok());
+  ExpectSameCommunities(got->communities, want->communities,
+                        "after keyword add");
+  ASSERT_EQ(got->communities.size(), 1u);
+  EXPECT_EQ(got->communities[0].community.center, 5u);
 }
 
 // The invalidation-exactness sweep: random graphs, random query pools,

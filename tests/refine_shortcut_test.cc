@@ -1,21 +1,20 @@
-// The refine stage's two exact short-circuits against the brute-force
-// oracle (core/brute_force, which runs the full reference pipeline on every
+// The refine stage's exact short-circuits against the brute-force oracle
+// (core/brute_force, which runs the full reference pipeline on every
 // center):
 //  - the per-query influence memo, which propagates each distinct seed set
 //    once and re-propagates a repeat only when its known σ enters the top-L;
-//  - the center-degree precheck, which rejects a center with fewer than k−1
-//    keyword-carrying neighbours before extracting its ball;
-//  - the ego-network peel, which drops keyword-carrying neighbours with
-//    fewer than k−2 partners among the others until none is dropped, and
-//    rejects the center when fewer than k−1 survive.
 //  - the keyword core (KeywordMatch), which keeps the plan stage out of
 //    every index subtree and away from every center outside the
-//    (k−1)-core of the keyword holders' subgraph.
+//    (k−1)-core of the keyword holders' subgraph, and confines the
+//    extractor's ball BFS to that core.
 // Planted-clique graphs make every center of a clique yield the same
-// community (memo hits); keyword-sparse graphs make most centers fail a
-// precheck; hand-built ego networks pin the peel's edge cases. Answers must
-// be byte-identical to the oracle, sequentially, in parallel, for DTopL, and
-// for a detector reused across queries.
+// community (memo hits); keyword-sparse graphs leave most keyword holders
+// outside the core; hand-built ego networks pin the cases where a center
+// with enough keyword neighbours still has no community. The three
+// extraction paths (over the core, over keyword lists, and the reference)
+// must agree on every center, and answers must be byte-identical to the
+// oracle, sequentially, in parallel, for DTopL, and for a detector reused
+// across queries.
 
 #include <cstdint>
 #include <string>
@@ -195,35 +194,56 @@ TEST(RefineShortcutTest, KeywordSparseGraphsMatchBruteForce) {
   EXPECT_GT(found, 0u);  // the sparse keywords still leave communities
 }
 
-TEST(RefineShortcutTest, PrecheckAgreesWithReferenceExtractionOnEveryCenter) {
-  std::uint64_t rejected_by_precheck = 0;
+// Extracts center v's community over the query's keyword core, over keyword
+// lists, and on the reference path, and checks that all three agree.
+// Returns whether the reference path found a community.
+bool ExtractionPathsAgree(SeedCommunityExtractor& by_core,
+                          SeedCommunityExtractor& by_list,
+                          SeedCommunityExtractor& reference,
+                          const KeywordMatch& match, VertexId v, const Query& q,
+                          const std::string& label) {
+  SeedCommunity cored;
+  SeedCommunity listed;
+  SeedCommunity want;
+  const bool cored_ok = by_core.Extract(
+      v, q, SeedCommunityExtractor::Mode::kIncremental, &cored, &match);
+  const bool listed_ok = by_list.Extract(
+      v, q, SeedCommunityExtractor::Mode::kIncremental, &listed);
+  const bool want_ok =
+      reference.Extract(v, q, SeedCommunityExtractor::Mode::kReference, &want);
+  EXPECT_EQ(cored_ok, want_ok) << label << " center " << v;
+  EXPECT_EQ(listed_ok, want_ok) << label << " center " << v;
+  EXPECT_EQ(cored.vertices, want.vertices) << label << " center " << v;
+  EXPECT_EQ(listed.vertices, want.vertices) << label << " center " << v;
+  EXPECT_EQ(cored.edges, want.edges) << label << " center " << v;
+  EXPECT_EQ(listed.edges, want.edges) << label << " center " << v;
+  return want_ok;
+}
+
+TEST(RefineShortcutTest, ExtractionPathsAgreeOnEveryCenter) {
+  std::uint64_t found = 0;
+  std::uint64_t empty = 0;
   for (const std::uint64_t seed : {1u, 2u}) {
     const Graph g = MakeKeywordSparse(seed);
-    SeedCommunityExtractor incremental(g);
+    SeedCommunityExtractor by_core(g);
+    SeedCommunityExtractor by_list(g);
     SeedCommunityExtractor reference(g);
+    KeywordMatch match;
     for (std::uint32_t k = 2; k <= 6; ++k) {
       const Query q = MakeQuery({0, 1, 2, 3}, k, 2, 0.1, 1);
+      match.Fill(g, q.keywords, q.k);
+      const std::string label = "seed=" + std::to_string(seed) + " k=" +
+                                std::to_string(k);
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        SeedCommunity got;
-        SeedCommunity want;
-        const bool got_ok = incremental.Extract(
-            v, q, SeedCommunityExtractor::Mode::kIncremental, &got);
-        const bool want_ok = reference.Extract(
-            v, q, SeedCommunityExtractor::Mode::kReference, &want);
-        ASSERT_EQ(got_ok, want_ok) << "k=" << k << " center " << v;
-        EXPECT_EQ(got.vertices, want.vertices) << "k=" << k << " center " << v;
-        EXPECT_EQ(got.edges, want.edges) << "k=" << k << " center " << v;
-        // A precheck returns before any ball is built; the reference path
-        // always builds one for a keyword-carrying center.
-        if (incremental.last_precheck_rejected()) {
-          EXPECT_FALSE(got_ok);
-          EXPECT_EQ(incremental.last_subgraph_edges(), 0u);
-          rejected_by_precheck += reference.last_subgraph_edges() > 0;
-        }
+        const bool has = ExtractionPathsAgree(by_core, by_list, reference,
+                                              match, v, q, label);
+        found += has;
+        empty += !has;
       }
     }
   }
-  EXPECT_GT(rejected_by_precheck, 0u);
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(empty, 0u);
 }
 
 // A center (vertex 0) joined to every vertex of its ego network F = {1, ...,
@@ -236,92 +256,73 @@ Graph MakeEgoNetwork(std::size_t size,
       size + 1, edges, std::vector<std::vector<KeywordId>>(size + 1, {0}));
 }
 
-// Extracts vertex 0's community three ways and checks that they agree: the
-// incremental path over keyword lists (F ⊆ M, the keyword holders), the
-// incremental path over the query's keyword core (F ⊆ C), and the reference
-// path. Returns whether the keyword-list path rejected the center in a
-// precheck, so the prechecks are tested on the whole of M. The core path
-// rejects whatever the list path rejects: C ⊆ M, and both prechecks keep
-// fewer members of a smaller F.
-bool PrecheckRejectsCenter(const Graph& g, std::uint32_t k,
-                           const std::string& label) {
-  SeedCommunityExtractor by_list(g);
+// Whether vertex 0 of an ego network has a community for keyword 0 at k,
+// after checking that the three extraction paths agree on it at r = 1 and
+// r = 2. Every member of an ego network is one hop from the center, so the
+// answer is the same at both radii.
+bool CenterHasCommunity(const Graph& g, std::uint32_t k,
+                        const std::string& label) {
   SeedCommunityExtractor by_core(g);
+  SeedCommunityExtractor by_list(g);
   SeedCommunityExtractor reference(g);
   KeywordMatch match;
-  bool rejected = false;
+  bool has = false;
   for (std::uint32_t r = 1; r <= 2; ++r) {
     const Query q = MakeQuery({0}, k, r, 0.1, 1);
     match.Fill(g, q.keywords, q.k);
-    SeedCommunity listed;
-    SeedCommunity cored;
-    SeedCommunity want;
-    const bool listed_ok = by_list.Extract(
-        0, q, SeedCommunityExtractor::Mode::kIncremental, &listed);
-    const bool cored_ok = by_core.Extract(
-        0, q, SeedCommunityExtractor::Mode::kIncremental, &cored, &match);
-    const bool want_ok =
-        reference.Extract(0, q, SeedCommunityExtractor::Mode::kReference, &want);
-    EXPECT_EQ(listed_ok, want_ok) << label << " r=" << r;
-    EXPECT_EQ(cored_ok, want_ok) << label << " r=" << r;
-    EXPECT_EQ(listed.vertices, want.vertices) << label << " r=" << r;
-    EXPECT_EQ(cored.vertices, want.vertices) << label << " r=" << r;
-    EXPECT_EQ(listed.edges, want.edges) << label << " r=" << r;
-    EXPECT_EQ(cored.edges, want.edges) << label << " r=" << r;
-    EXPECT_FALSE(reference.last_precheck_rejected()) << label;
-    if (by_list.last_precheck_rejected()) {
-      EXPECT_TRUE(by_core.last_precheck_rejected()) << label << " r=" << r;
-    }
+    const bool has_at_r = ExtractionPathsAgree(
+        by_core, by_list, reference, match, 0, q,
+        label + " r=" + std::to_string(r));
     if (r == 1) {
-      rejected = by_list.last_precheck_rejected();
+      has = has_at_r;
     } else {
-      EXPECT_EQ(by_list.last_precheck_rejected(), rejected) << label;
+      EXPECT_EQ(has_at_r, has) << label;
     }
   }
-  return rejected;
+  return has;
 }
 
-TEST(RefineShortcutTest, PeelRejectsACenterTheDegreePrecheckAdmits) {
-  // k = 4: four keyword neighbours pass the degree precheck (≥ 3), but each
-  // is adjacent to only one of the others, below the 2 partners a 4-truss
-  // edge through the center needs.
+TEST(RefineShortcutTest, EgoNetworkOfDisjointEdgesHasNoFourTruss) {
+  // k = 4: the center has four keyword neighbours (≥ k−1, so they all stay
+  // in the keyword core), but each is adjacent to only one of the others,
+  // below the 2 triangles a 4-truss edge through the center needs.
   const Graph g = MakeEgoNetwork(4, {{1, 2}, {3, 4}});
-  EXPECT_TRUE(PrecheckRejectsCenter(g, 4, "matching"));
-  // The same ego network at k = 3 needs one partner each: admitted, and the
-  // two triangles are the community.
-  EXPECT_FALSE(PrecheckRejectsCenter(g, 3, "matching k=3"));
+  EXPECT_FALSE(CenterHasCommunity(g, 4, "matching"));
+  // The same ego network at k = 3 needs one triangle per edge: the two
+  // triangles are the community.
+  EXPECT_TRUE(CenterHasCommunity(g, 3, "matching k=3"));
 }
 
-TEST(RefineShortcutTest, PeelKeepsAKClique) {
-  // K_k around the center: each of the k−1 neighbours has exactly k−2
-  // partners, the tightest ego network that holds a k-truss.
+TEST(RefineShortcutTest, KCliqueEgoNetworkIsTheTightestCommunity) {
+  // K_k around the center: each of the k−1 neighbours is adjacent to exactly
+  // k−2 of the others, the tightest ego network that holds a k-truss.
   for (std::uint32_t k = 3; k <= 7; ++k) {
     std::vector<std::pair<VertexId, VertexId>> inside;
     for (VertexId u = 1; u < k; ++u) {
       for (VertexId w = u + 1; w < k; ++w) inside.emplace_back(u, w);
     }
     const Graph g = MakeEgoNetwork(k - 1, inside);
-    EXPECT_FALSE(PrecheckRejectsCenter(g, k, "clique k=" + std::to_string(k)));
-    // One member short of a clique: the peel must reject it.
+    EXPECT_TRUE(CenterHasCommunity(g, k, "clique k=" + std::to_string(k)));
+    // One edge short of a clique: no k-truss is left.
     inside.pop_back();
-    EXPECT_TRUE(PrecheckRejectsCenter(MakeEgoNetwork(k - 1, inside), k,
-                                      "clique minus an edge k=" +
-                                          std::to_string(k)));
+    EXPECT_FALSE(CenterHasCommunity(MakeEgoNetwork(k - 1, inside), k,
+                                    "clique minus an edge k=" +
+                                        std::to_string(k)));
   }
 }
 
-TEST(RefineShortcutTest, PeelCascades) {
-  // k = 4 (2 partners each). A path 1-2-3-4-5-6 in F: only the ends start
-  // below 2 partners, and each drop takes the next vertex inward. Dropping
-  // the two ends leaves four members, so only the cascade rejects.
-  EXPECT_TRUE(PrecheckRejectsCenter(
+TEST(RefineShortcutTest, TrussPeelCascadesThroughTheEgoNetwork) {
+  // k = 4. A path 1-2-3-4-5-6 in F: only the ends start with too few
+  // triangles, and each peel takes the next vertex inward until nothing is
+  // left.
+  EXPECT_FALSE(CenterHasCommunity(
       MakeEgoNetwork(6, {{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}), 4, "path"));
   // A triangle {1, 2, 3} with a path 3-4-5-6 hanging off it: the cascade
   // eats the path and stops at the triangle, whose K4 with the center is
   // the community.
   const Graph tail =
       MakeEgoNetwork(6, {{1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
-  EXPECT_FALSE(PrecheckRejectsCenter(tail, 4, "triangle with a tail"));
+  EXPECT_TRUE(CenterHasCommunity(tail, 4, "triangle with a tail"));
   SeedCommunityExtractor extractor(tail);
   SeedCommunity community;
   ASSERT_TRUE(extractor.Extract(0, MakeQuery({0}, 4, 1, 0.1, 1), &community));
@@ -329,7 +330,8 @@ TEST(RefineShortcutTest, PeelCascades) {
 }
 
 // Uni (small-world), Erdős–Rényi and power-law graphs with sparse query
-// keywords, so that both prechecks reject centers.
+// keywords, so that many keyword holders fall outside the core and some core
+// centers still have no community.
 std::vector<Graph> SweepGraphs() {
   KeywordModel keywords;
   keywords.domain_size = 12;
@@ -357,16 +359,16 @@ std::vector<Graph> SweepGraphs() {
   return graphs;
 }
 
-TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
+TEST(RefineShortcutTest, ExtractionPathsMatchBruteForceAcrossGenerators) {
   ThreadPool pool(4);
   std::uint64_t found = 0;
-  std::uint64_t peel_only_rejects = 0;
+  std::uint64_t empty_core_centers = 0;
   const std::vector<KeywordId> keywords = {0, 1, 2, 3, 4};
   for (const Graph& g : SweepGraphs()) {
     const BuiltIndex built = BuildIndexFor(g);
     TopLDetector detector(g, built.pre(), built.tree);
-    SeedCommunityExtractor with_match(g);
-    SeedCommunityExtractor with_list(g);
+    SeedCommunityExtractor by_core(g);
+    SeedCommunityExtractor by_list(g);
     SeedCommunityExtractor reference(g);
     KeywordMatch match;
     for (std::uint32_t k = 3; k <= 5; ++k) {
@@ -375,36 +377,12 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
         const Query q = MakeQuery(keywords, k, r, 0.1, 4);
         const std::string label =
             "n=" + std::to_string(g.NumVertices()) + " " + Label(q);
-        // Every center, with and without the KeywordMatch.
+        // Every center, with and without the KeywordMatch. A core center
+        // without a community is one the truss peel itself must reject.
         for (VertexId v = 0; v < g.NumVertices(); ++v) {
-          SeedCommunity a;
-          SeedCommunity b;
-          SeedCommunity want;
-          const bool a_ok = with_match.Extract(
-              v, q, SeedCommunityExtractor::Mode::kIncremental, &a, &match);
-          const bool b_ok = with_list.Extract(
-              v, q, SeedCommunityExtractor::Mode::kIncremental, &b);
-          const bool want_ok = reference.Extract(
-              v, q, SeedCommunityExtractor::Mode::kReference, &want);
-          ASSERT_EQ(a_ok, want_ok) << label << " center " << v;
-          ASSERT_EQ(b_ok, want_ok) << label << " center " << v;
-          EXPECT_EQ(a.vertices, want.vertices) << label << " center " << v;
-          EXPECT_EQ(b.vertices, want.vertices) << label << " center " << v;
-          EXPECT_EQ(a.edges, want.edges) << label << " center " << v;
-          // The core only drops vertices no community holds, so the core
-          // path rejects every center the keyword-list path rejects.
-          if (with_list.last_precheck_rejected()) {
-            EXPECT_TRUE(with_match.last_precheck_rejected())
-                << label << " center " << v;
-          }
-          // A center with ≥ k−1 keyword neighbours that the peel rejects.
-          if (with_list.last_precheck_rejected() && match.Holds(v)) {
-            std::uint32_t keyword_neighbours = 0;
-            for (const Graph::Arc& arc : g.Neighbors(v)) {
-              keyword_neighbours += match.Holds(arc.to);
-            }
-            peel_only_rejects += keyword_neighbours + 1 >= k;
-          }
+          const bool has = ExtractionPathsAgree(by_core, by_list, reference,
+                                                match, v, q, label);
+          empty_core_centers += match.Contains(v) && !has;
         }
         // The detector, sequentially and fanned out, against brute force.
         Result<TopLResult> want = BruteForceTopL(g, q);
@@ -412,7 +390,7 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
         Result<TopLResult> sequential = detector.Search(q);
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         ExpectIdentical(sequential->communities, want->communities, label.c_str());
-        EXPECT_LE(sequential->stats.precheck_rejected,
+        EXPECT_LE(sequential->stats.communities_found,
                   sequential->stats.candidates_refined);
         SearchControl control;
         control.pool = &pool;
@@ -426,16 +404,14 @@ TEST(RefineShortcutTest, PrechecksMatchBruteForceAcrossGenerators) {
     }
   }
   EXPECT_GT(found, 0u);
-  EXPECT_GT(peel_only_rejects, 0u);
+  EXPECT_GT(empty_core_centers, 0u);
 }
 
-TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
-  // On the keyword-sparse graph most keyword-holding centers fail a precheck
-  // when the extractor is called on them directly. The detector no longer
-  // hands those outside the query's keyword core to the extractor: its plan
-  // stage prunes them, so they land in pruned_keyword, and the counters still
-  // account for every vertex, sequentially and on the pool. The engine-wide
-  // sum folds the counters like every other.
+TEST(RefineShortcutTest, CoreRejectsAreCounted) {
+  // On the keyword-sparse graph most keyword holders lie outside the query's
+  // keyword core. The plan stage prunes them, so they land in pruned_keyword,
+  // and the counters still account for every vertex, sequentially and on
+  // the pool. The engine-wide sum folds the counters like every other.
   const Graph g = MakeKeywordSparse(1);
   const std::size_t n = g.NumVertices();
   const BuiltIndex built = BuildIndexFor(g);
@@ -454,23 +430,19 @@ TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
     const Query q = MakeQuery({0, 1, 2, 3}, k, 2, 0.0, 4);
     KeywordMatch match;
     match.Fill(g, q.keywords, q.k);
-    SeedCommunityExtractor by_list(g);
     SeedCommunityExtractor by_core(g);
     std::uint64_t core_size = 0;
-    std::uint64_t core_rejects = 0;      // core centers the extractor rejects
-    std::uint64_t outside_rejects = 0;   // list rejects outside the core
+    std::uint64_t core_found = 0;        // core centers with a community
+    std::uint64_t outside_holders = 0;   // keyword holders outside the core
     for (VertexId v = 0; v < n; ++v) {
-      SeedCommunity community;
-      by_list.Extract(v, q, SeedCommunityExtractor::Mode::kIncremental,
-                      &community);
-      outside_rejects += by_list.last_precheck_rejected() && !match.Contains(v);
+      outside_holders += match.Holds(v) && !match.Contains(v);
       if (!match.Contains(v)) continue;
       ++core_size;
-      by_core.Extract(v, q, SeedCommunityExtractor::Mode::kIncremental,
-                      &community, &match);
-      core_rejects += by_core.last_precheck_rejected();
+      SeedCommunity community;
+      core_found += by_core.Extract(
+          v, q, SeedCommunityExtractor::Mode::kIncremental, &community, &match);
     }
-    EXPECT_GT(outside_rejects, 0u) << Label(q);
+    EXPECT_GT(outside_holders, 0u) << Label(q);
     for (const bool parallel : {false, true}) {
       const std::string label = Label(q) + (parallel ? " pooled" : "");
       Result<TopLResult> got = parallel
@@ -479,7 +451,7 @@ TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got->stats.pruned_keyword, n - core_size) << label;
       EXPECT_EQ(got->stats.candidates_refined, core_size) << label;
-      EXPECT_EQ(got->stats.precheck_rejected, core_rejects) << label;
+      EXPECT_EQ(got->stats.communities_found, core_found) << label;
       EXPECT_EQ(got->stats.TotalPruned() + got->stats.candidates_refined, n)
           << label;
       total += got->stats;
@@ -490,9 +462,8 @@ TEST(RefineShortcutTest, PrecheckRejectsAreCounted) {
                      : detector.Search(q);
       ASSERT_TRUE(got.ok());
       EXPECT_LE(got->stats.candidates_refined, core_size) << label;
-      EXPECT_LE(got->stats.precheck_rejected, core_rejects) << label;
-      EXPECT_LE(got->stats.precheck_rejected + got->stats.communities_found,
-                got->stats.candidates_refined)
+      EXPECT_LE(got->stats.communities_found, core_found) << label;
+      EXPECT_LE(got->stats.communities_found, got->stats.candidates_refined)
           << label;
       if (!parallel) {
         EXPECT_EQ(got->stats.TotalPruned() + got->stats.candidates_refined, n)
@@ -598,8 +569,7 @@ TEST(RefineShortcutTest, DescentSkipsSubtreesWithoutCoreVertices) {
 
       // With keyword pruning alone the descent enters exactly the subtrees
       // that hold a core vertex: a subtree of keyword holders outside the
-      // core passes the signature test but is skipped, and its vertices count
-      // as pruned_keyword.
+      // core is skipped, and its vertices count as pruned_keyword.
       for (const bool parallel : {false, true}) {
         SearchControl control;
         if (parallel) {

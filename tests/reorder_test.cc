@@ -246,7 +246,7 @@ TEST(ReorderTest, PermutationRoundTripsThroughTheArtifact) {
 
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 2u);
+  EXPECT_EQ(info->version, 3u);
   EXPECT_TRUE(info->has_external_ids);
 
   std::filesystem::remove_all(dir);

@@ -112,30 +112,6 @@ TEST(TreeIndexTest, CenterTrussAggregatesDominate) {
   }
 }
 
-TEST(TreeIndexTest, SignatureAggregationNoFalseNegatives) {
-  const Graph g = SmallWorld(100, 5);
-  const BuiltIndex built = BuildIndexFor(g);
-  const PrecomputedData& pre = built.pre();
-  // For every leaf and every member vertex: any keyword present in the
-  // member's hop signature must be visible in the leaf aggregate (and, by
-  // induction on domination, all ancestors).
-  for (std::uint32_t id = 0; id < built.tree.NumNodes(); ++id) {
-    const TreeIndex::Node& node = built.tree.node(id);
-    if (!node.is_leaf) continue;
-    for (std::uint32_t r = 1; r <= pre.r_max(); ++r) {
-      for (VertexId v : built.tree.LeafVertices(node)) {
-        for (KeywordId w = 0; w < g.KeywordDomainBound(); ++w) {
-          BitVector probe = BitVector::FromKeywords(std::vector<KeywordId>{w},
-                                                    pre.signature_bits());
-          if (pre.SignatureIntersects(v, r, probe)) {
-            EXPECT_TRUE(built.tree.SignatureIntersects(id, r, probe));
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(TreeIndexTest, FanoutRespected) {
   const Graph g = SmallWorld(300, 6);
   TreeIndexOptions opts;

@@ -19,7 +19,7 @@
 // records the internal→external permutation in the artifact's g.extids
 // section, so every id the online commands print is still the original
 // graph's id; --compress=1 stores the large array sections
-// delta+varint-encoded (artifact v2). `index inspect`
+// delta+varint-encoded. `index inspect`
 // dumps an artifact's section table, per-section encoding and checksums;
 // `index migrate` re-encodes an artifact raw <-> compressed per --compress,
 // keeping its embedded graph and vertex permutation. Bare
@@ -294,9 +294,8 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(info->num_vertices),
               static_cast<unsigned long long>(info->num_edges),
               static_cast<unsigned long long>(info->total_keywords));
-  std::printf("index: r_max=%u, %u thetas, %u signature bits, "
-              "%llu tree nodes, height %u\n",
-              info->r_max, info->num_thetas, info->signature_bits,
+  std::printf("index: r_max=%u, %u thetas, %llu tree nodes, height %u\n",
+              info->r_max, info->num_thetas,
               static_cast<unsigned long long>(info->tree_num_nodes),
               info->tree_height);
   std::printf("external-id permutation: %s\n",
